@@ -1,10 +1,15 @@
-"""Shim for legacy editable installs (``pip install -e . --no-use-pep517``).
+"""Packaging for the ``repro`` QuickSel reproduction.
 
-All project metadata lives in ``pyproject.toml``; this file only exists so
-that offline environments without the ``wheel`` package can still perform
-an editable install through ``setup.py develop``.
+Supports ``pip install -e . --no-use-pep517`` (``setup.py develop``) in
+offline environments without the ``wheel`` package; the sources live
+under ``src/``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

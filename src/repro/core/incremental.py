@@ -23,7 +23,8 @@ assembled problem between refits:
   :class:`~repro.solvers.linalg.CachedCholesky` and updated with rank-k
   ``cholupdate`` (full refactorisation when that is cheaper or the
   condition estimate degrades), and iterative solvers are warm-started
-  from the previous weight vector.
+  from the previous weight vector.  A refactorisation is one in-place
+  syrk + potrf into the factor cache's reused ``(m, m)`` buffer.
 
 **Streaming-window training** bounds all of this.  With
 ``config.window_policy`` set to ``"sliding"`` or ``"decayed"``, the
@@ -38,17 +39,20 @@ window.  The decayed policy additionally scales the surviving rows by
 ``0.5 ** (age / decay_half_life)`` before solving, so recent feedback
 dominates even inside the window; because every row's weight changes on
 every refit, the decayed analytic path always refactorises (still
-bounded: the gemm is ``O(window·m²)``).
+bounded: the syrk is ``O(window·m²)``).
 
 Numerical contract: whenever the analytic path refactorises (every
 centre rebuild, and every refit where the rank-k update is declined —
 which includes the whole small-``m`` regime and every decayed refit),
-the normal matrix is recomputed from the cached live rows in one BLAS
-gemm, so the weights are *bitwise identical* to from-scratch training on
-the same subpopulations and the same (window of) queries.  On the
-cholupdate/downdate path the right-hand side is still exact (one gemv)
-and only the factor carries update drift, observed at ~1e-11; the
-property tests pin both regimes to 1e-9.
+the normal matrix is rebuilt from the cached live rows by
+:func:`~repro.solvers.linalg.factorize_normal_matrix`, the routine the
+from-scratch analytic solver runs too (both fall back to
+:func:`~repro.solvers.linalg.regularized_solve` when it rejects the
+matrix), so the weights are *bitwise identical* to from-scratch training
+on the same subpopulations and the same (window of) queries.  On the
+cholupdate/downdate path the right-hand side is still
+exact (one gemv) and only the factor carries update drift, observed at
+~1e-11; the property tests pin both regimes to 1e-9.
 """
 
 from __future__ import annotations
@@ -758,21 +762,23 @@ class IncrementalTrainer:
         rhs = penalty * (A_eff.T @ s_eff)
         refactorized = False
         if refactorize or not self._chol.available:
-            # Refactorisation recomputes the normal matrix from the cached
-            # live rows in one BLAS gemm.  This costs O(n·m²) but makes
-            # the solve *bitwise identical* to from-scratch training on
-            # the live window (same floats in, same factorisation).  Long
-            # unbounded streams never come through here — the
-            # history-priced cost gate keeps them on the O(Δn·m²)
-            # cholupdate path; the decayed policy always does (its n is
-            # bounded by the window).
-            exact = self._Q_sym + penalty * (A_eff.T @ A_eff)
+            # Refactorisation rebuilds the normal matrix from the cached
+            # live rows in the factor cache's buffer (one in-place syrk +
+            # potrf, the from-scratch solver's routine: bitwise identical
+            # weights).  It costs O(n·m²); long unbounded streams never
+            # come through here — the history-priced cost gate keeps them
+            # on the O(Δn·m²) cholupdate path; the decayed policy always
+            # does (its n is bounded by the window).
             try:
-                self._chol.factorize(exact, ridge=ridge)
+                self._chol.factorize(
+                    self._Q_sym, ridge=ridge, rows=A_eff, scale=penalty
+                )
                 refactorized = True
             except SolverError:
-                # Numerically singular normal matrix: same robust fallback
-                # ladder as the from-scratch analytic solver.
+                # Not numerically positive definite (or not finite): same
+                # fallback ladder as the from-scratch analytic solver, on
+                # a freshly assembled matrix.
+                exact = self._Q_sym + penalty * (A_eff.T @ A_eff)
                 weights = regularized_solve(exact, rhs, ridge=ridge)
                 return self._finish(weights, "analytic", 1), True
         weights = self._chol.solve(rhs)

@@ -15,6 +15,7 @@ model definition (Section 3) and model training (Section 4).
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 
 import numpy as np
@@ -47,27 +48,30 @@ class UniformMixtureModel:
     ) -> None:
         if len(subpopulations) == 0:
             raise TrainingError("a mixture model needs at least one component")
-        weight_array = np.asarray(weights, dtype=float)
-        if weight_array.ndim != 1 or weight_array.shape[0] != len(subpopulations):
-            raise TrainingError(
-                "weights must be a vector with one entry per subpopulation"
-            )
-        if np.isnan(weight_array).any():
-            raise TrainingError("mixture weights must not contain NaN")
         volumes = np.array([sub.volume for sub in subpopulations])
         if (volumes <= 0).any():
             raise TrainingError(
                 "every subpopulation must have strictly positive volume"
             )
         self._subpopulations = tuple(subpopulations)
-        self._weights = weight_array.copy()
-        self._weights.setflags(write=False)
         self._volumes = volumes
         self._boxes = [sub.box for sub in subpopulations]
         # Component bounds stacked once so estimation (scalar and batched)
-        # skips the per-call Python loop over box objects, and the
-        # weight/volume ratio each overlap volume is dotted with.
+        # skips the per-call Python loop over box objects.
         self._component_lower, self._component_upper = stack_bounds(self._boxes)
+        self._set_weights(weights)
+
+    def _set_weights(self, weights: Sequence[float] | np.ndarray) -> None:
+        weight_array = np.asarray(weights, dtype=float)
+        if weight_array.ndim != 1 or weight_array.shape[0] != self.size:
+            raise TrainingError(
+                "weights must be a vector with one entry per subpopulation"
+            )
+        if np.isnan(weight_array).any():
+            raise TrainingError("mixture weights must not contain NaN")
+        self._weights = weight_array.copy()
+        self._weights.setflags(write=False)
+        # The weight/volume ratio each overlap volume is dotted with.
         self._weight_over_volume = self._weights / self._volumes
         # float32 twins of the stacked geometry, built lazily on the
         # first reduced-precision batch call (see estimate_from_bounds).
@@ -271,7 +275,21 @@ class UniformMixtureModel:
         total = clipped.sum()
         if total > 0:
             clipped = clipped / total
-        return UniformMixtureModel(self._subpopulations, clipped)
+        return self.reweighted(clipped)
+
+    def reweighted(
+        self, weights: Sequence[float] | np.ndarray
+    ) -> "UniformMixtureModel":
+        """A model over the same components with new ``weights``.
+
+        Shares this model's validated volumes and stacked bounds (never
+        mutated) instead of recomputing them, so it costs ``O(m)``;
+        estimates equal those of ``UniformMixtureModel(self.subpopulations,
+        weights)`` bit for bit.
+        """
+        model = copy.copy(self)
+        model._set_weights(weights)
+        return model
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` points from the mixture (for diagnostics/tests)."""

@@ -220,7 +220,12 @@ class QuickSel:
         report = self._trainer.fit(
             self._queries, self._rng, observed_total=self._observed_total
         )
-        model = UniformMixtureModel(report.subpopulations, report.result.weights)
+        model = self._model
+        weights = report.result.weights
+        if model is not None and model.subpopulations is report.subpopulations:
+            model = model.reweighted(weights)  # only the weights changed
+        else:
+            model = UniformMixtureModel(report.subpopulations, weights)
         if self._config.clip_negative_weights:
             model = model.clipped()
         self._model = model

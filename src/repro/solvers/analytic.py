@@ -11,6 +11,8 @@ Setting the gradient to zero gives the normal equations
 
 whose solution is a single dense solve -- this is the source of QuickSel's
 constant, milliseconds-scale refinement cost and the subject of Figure 6.
+The incremental trainer's refactorisations run the same routine,
+:func:`~repro.solvers.linalg.factorize_normal_matrix`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.solvers.linalg import regularized_solve, symmetrize
+from repro.solvers.linalg import (
+    cholesky_solve,
+    factorize_normal_matrix,
+    regularized_solve,
+    symmetrize,
+)
 
 __all__ = ["AnalyticSolution", "solve_penalized_qp"]
 
@@ -77,9 +84,13 @@ def solve_penalized_qp(
     if penalty <= 0:
         raise SolverError("penalty must be positive")
 
-    normal_matrix = Q + penalty * (A.T @ A)
     rhs = penalty * (A.T @ s)
-    weights = regularized_solve(normal_matrix, rhs, ridge=ridge * max(penalty, 1.0))
+    ridge = ridge * max(penalty, 1.0)
+    try:
+        factor = factorize_normal_matrix(Q, A, penalty, ridge)
+        weights = cholesky_solve(factor, rhs)
+    except SolverError:
+        weights = regularized_solve(Q + penalty * (A.T @ A), rhs, ridge=ridge)
 
     residual_vector = A @ weights - s
     residual = float(np.abs(residual_vector).max()) if residual_vector.size else 0.0

@@ -1,8 +1,9 @@
 """Small linear-algebra helpers shared by the QP solvers.
 
-Besides the stateless helpers, this module owns the factor cache behind
-the incremental training pipeline: :class:`CachedCholesky` keeps the
-Cholesky factor of the normal matrix ``G = Q + λAᵀA`` alive between
+Every analytic solve factorises the normal matrix ``G = Q + λAᵀA`` in
+one in-place BLAS/LAPACK pass (:func:`factorize_normal_matrix`).  This
+module also owns the factor cache behind the incremental training
+pipeline: :class:`CachedCholesky` keeps that factor alive between
 refits and absorbs newly observed constraint rows with a rank-k update
 (:func:`cholesky_update`) — and, for streaming-window training, folds
 *expired* rows back out with a rank-k downdate
@@ -16,12 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import linalg as scipy_linalg
+from scipy.linalg import blas as scipy_blas
+from scipy.linalg import lapack as scipy_lapack
 
 from repro.exceptions import SolverError
 
 __all__ = [
     "symmetrize",
     "regularized_solve",
+    "factorize_normal_matrix",
+    "cholesky_solve",
     "project_to_simplex_nonneg",
     "cholesky_update",
     "cholesky_downdate",
@@ -42,33 +47,23 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def _prepare_spd(matrix: np.ndarray, ridge: float) -> np.ndarray:
-    """Symmetrise and ridge-shift a matrix the way every SPD solve does.
-
-    Shared by :func:`regularized_solve` and :class:`CachedCholesky` so a
-    cached factorisation is bit-identical to the one a from-scratch solve
-    would compute from the same matrix.
-    """
-    mat = symmetrize(matrix)
-    if ridge < 0:
-        raise SolverError("ridge must be non-negative")
-    if ridge > 0:
-        mat = mat + ridge * np.eye(mat.shape[0])
-    return mat
-
-
 def regularized_solve(
     matrix: np.ndarray, rhs: np.ndarray, ridge: float = 0.0
 ) -> np.ndarray:
     """Solve ``(matrix + ridge * I) x = rhs`` robustly.
 
-    Tries a Cholesky-backed solve first (the system is symmetric positive
-    semi-definite by construction), then a generic LU solve, and finally
-    least squares when the matrix is numerically singular, which can
-    happen when subpopulations coincide exactly.
+    The fallback ladder for a normal matrix :func:`factorize_normal_matrix`
+    rejected: a Cholesky-backed solve of the symmetrised matrix first,
+    then a generic LU solve, and finally least squares when the matrix is
+    numerically singular, which can happen when subpopulations coincide
+    exactly.
     """
     vec = np.asarray(rhs, dtype=float)
-    mat = _prepare_spd(matrix, ridge)
+    mat = symmetrize(matrix)
+    if ridge < 0:
+        raise SolverError("ridge must be non-negative")
+    if ridge > 0:
+        mat = mat + ridge * np.eye(mat.shape[0])
     if vec.shape[0] != mat.shape[0]:
         raise SolverError(
             f"rhs length {vec.shape[0]} does not match matrix size {mat.shape[0]}"
@@ -83,6 +78,65 @@ def regularized_solve(
     except np.linalg.LinAlgError:
         solution, *_ = np.linalg.lstsq(mat, vec, rcond=None)
         return solution
+
+
+def factorize_normal_matrix(
+    base: np.ndarray,
+    rows: np.ndarray | None = None,
+    scale: float = 1.0,
+    ridge: float = 0.0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Lower Cholesky factor ``L`` of ``base + scale·rowsᵀrows + ridge·I``.
+
+    One pass of BLAS/LAPACK over a Fortran-order ``(m, m)`` buffer:
+    ``base`` is copied in, ``dsyrk`` adds ``scale·rowsᵀrows`` to its
+    lower triangle, the ridge lands on the diagonal and ``dpotrf``
+    overwrites that triangle with the factor ``L``.  ``base`` must be
+    symmetric (callers pass a symmetrised ``Q``); the buffer's upper
+    triangle keeps ``base``'s entries, which nothing reads.  ``out`` (a
+    float64 buffer from an earlier call) is reused when it is a
+    Fortran-order ``(m, m)`` array; the buffer holding ``L`` is returned.
+
+    Raises :class:`SolverError` when the matrix is not numerically
+    positive definite or has a non-finite entry in its lower triangle.
+    The finiteness check reads only the ``m`` pivots: a non-finite entry
+    in row ``i`` is pivot ``i`` or makes an entry of ``L[i, :i]``
+    non-finite, whose square feeds pivot ``i``, so it ends as a NaN/inf
+    pivot or a ``dpotrf`` failure.  The buffer's contents are undefined
+    after a raise.
+    """
+    base = np.asarray(base, dtype=float)
+    m = base.shape[0]
+    if base.ndim != 2 or base.shape[1] != m:
+        raise SolverError(f"expected a square matrix; got shape {base.shape}")
+    if ridge < 0:
+        raise SolverError("ridge must be non-negative")
+    if out is None or out.shape != (m, m) or not out.flags.f_contiguous:
+        out = np.empty((m, m), order="F")
+    # base is symmetric, so copying its transpose is the same values; for
+    # a C-ordered base that copy into a Fortran buffer is contiguous.
+    np.copyto(out, base.T)
+    if rows is not None and len(rows):
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != m:
+            raise SolverError(f"rows must have {m} columns; got {rows.shape}")
+        # rows.T is (m, n) Fortran order for C-ordered rows (no copy);
+        # dsyrk's default trans=0 form adds scale·rowsᵀrows to the buffer.
+        scipy_blas.dsyrk(scale, rows.T, 1.0, out, lower=1, overwrite_c=1)
+    if ridge > 0:
+        out.ravel(order="K")[:: m + 1] += ridge
+    _, info = scipy_lapack.dpotrf(out, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise SolverError(f"normal matrix is not positive definite ({info=})")
+    if not np.isfinite(np.diagonal(out)).all():
+        raise SolverError("normal matrix has non-finite entries")
+    return out
+
+
+def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L Lᵀ x = rhs`` for a lower factor ``L`` (LAPACK dpotrs)."""
+    return scipy_lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
 def project_to_simplex_nonneg(weights: np.ndarray) -> np.ndarray:
@@ -198,6 +252,7 @@ class CachedCholesky:
     each refit's ``Δn`` new constraint rows in — and, under a sliding
     training window, the expired rows *out* (rank-k downdate) — in
     ``O((Δn_in + Δn_out)·m²)`` instead of the ``O(m³)`` refactorisation.
+    Each refactorisation overwrites the same buffer in place.
 
     :meth:`modify_rows` *declines* (returns False, leaving the factor
     untouched) when the caller should refactorise instead:
@@ -208,7 +263,7 @@ class CachedCholesky:
       ``update_cost_ratio`` BLAS flops; refactorising costs ``m³/3``
       flops *plus whatever it takes the caller to rebuild the matrix* —
       the trainer passes ``history_rows = n`` so the ``O(n·m²)``
-      normal-equation gemm its refactorisation implies is priced in.
+      normal-equation syrk its refactorisation implies is priced in.
       The crossover is ``k · update_cost_ratio > m²/3 + history_rows·m``:
       at small ``m`` and short history a fresh BLAS factorisation wins;
       as the stream (or window) grows the rank-k path takes over and
@@ -235,7 +290,10 @@ class CachedCholesky:
             raise SolverError("update_cost_ratio must be positive")
         self._condition_limit = float(condition_limit)
         self._update_cost_ratio = float(update_cost_ratio)
-        self._factor: np.ndarray | None = None
+        # The factor lives in the lower triangle of this buffer; it is
+        # kept across invalidate() so the next factorize() can reuse it.
+        self._buffer: np.ndarray | None = None
+        self._valid = False
         self.refactorizations = 0
         self.rank_updates = 0
         self.rank_downdates = 0
@@ -243,28 +301,37 @@ class CachedCholesky:
     @property
     def available(self) -> bool:
         """True if a factor is cached and usable for solves/updates."""
-        return self._factor is not None
+        return self._valid
+
+    @property
+    def buffer(self) -> np.ndarray | None:
+        """The ``(m, m)`` Fortran-order array the factor is written into."""
+        return self._buffer
 
     def invalidate(self) -> None:
         """Drop the cached factor (e.g. after a subpopulation rebuild)."""
-        self._factor = None
+        self._valid = False
 
-    def factorize(self, matrix: np.ndarray, ridge: float = 0.0) -> None:
-        """Fully factorise ``symmetrize(matrix) + ridge·I``.
+    def factorize(
+        self,
+        matrix: np.ndarray,
+        ridge: float = 0.0,
+        rows: np.ndarray | None = None,
+        scale: float = 1.0,
+    ) -> None:
+        """Fully factorise ``matrix + scale·rowsᵀrows + ridge·I``.
 
-        Raises :class:`SolverError` when the matrix is not numerically
-        positive definite (the caller falls back to
-        :func:`regularized_solve`).
+        ``matrix`` must be symmetric.  Runs
+        :func:`factorize_normal_matrix` into the cached buffer.  Raises
+        :class:`SolverError` when the matrix is not numerically positive
+        definite or not finite, leaving the cache unavailable (the
+        caller falls back to :func:`regularized_solve`).
         """
-        mat = _prepare_spd(matrix, ridge)
-        try:
-            raw, _ = scipy_linalg.cho_factor(mat, lower=True)
-        except (np.linalg.LinAlgError, scipy_linalg.LinAlgError, ValueError) as error:
-            self._factor = None
-            raise SolverError(f"normal matrix is not positive definite: {error}")
-        # cho_factor leaves garbage above the diagonal; the update sweeps
-        # need a clean lower triangle.
-        self._factor = np.tril(raw)
+        self._valid = False
+        self._buffer = factorize_normal_matrix(
+            matrix, rows, scale, ridge, out=self._buffer
+        )
+        self._valid = True
         self.refactorizations += 1
 
     def update_rows(self, rows: np.ndarray, history_rows: int = 0) -> bool:
@@ -301,7 +368,7 @@ class CachedCholesky:
         matrix is SPD).
 
         ``history_rows`` is the number of rows the caller would have to
-        re-aggregate (one ``O(history_rows·m²)`` gemm) if this
+        re-aggregate (one ``O(history_rows·m²)`` syrk) if this
         modification is declined; it raises the refactorisation's priced
         cost so long streams/windows favour the rank-k path.
 
@@ -309,9 +376,9 @@ class CachedCholesky:
         or condition decision, and invalidated if a sweep broke down —
         including a downdate's positive-definiteness guard firing.
         """
-        if self._factor is None:
+        if not self._valid:
             return False
-        m = self._factor.shape[0]
+        m = self._buffer.shape[0]
         update = self._as_rows(added, m)
         downdate = self._as_rows(removed, m)
         if update is None or downdate is None:
@@ -326,20 +393,20 @@ class CachedCholesky:
         if k * self._update_cost_ratio > m * m / 3 + history_rows * m:
             return False
         try:
-            modified = self._factor
+            modified = self._buffer
             if update.shape[0]:
                 modified = cholesky_update(modified, update)
             if downdate.shape[0]:
                 modified = cholesky_downdate(modified, downdate)
         except SolverError:
-            self._factor = None
+            self._valid = False
             return False
         diagonal = np.diag(modified)
         smallest = float(diagonal.min())
         largest = float(diagonal.max())
         if smallest <= 0.0 or (largest / smallest) ** 2 > self._condition_limit:
             return False
-        self._factor = modified
+        np.copyto(self._buffer, modified)
         if update.shape[0]:
             self.rank_updates += 1
         if downdate.shape[0]:
@@ -361,12 +428,12 @@ class CachedCholesky:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against the cached factor."""
-        if self._factor is None:
+        if not self._valid:
             raise SolverError("no factorization cached; call factorize() first")
         vec = np.asarray(rhs, dtype=float)
-        if vec.shape[0] != self._factor.shape[0]:
+        if vec.shape[0] != self._buffer.shape[0]:
             raise SolverError(
                 f"rhs length {vec.shape[0]} does not match factor size "
-                f"{self._factor.shape[0]}"
+                f"{self._buffer.shape[0]}"
             )
-        return scipy_linalg.cho_solve((self._factor, True), vec)
+        return cholesky_solve(self._buffer, vec)
