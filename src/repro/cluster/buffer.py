@@ -57,6 +57,10 @@ class BufferedObservation:
 class ObservationBuffer:
     """Per-key FIFO queues of feedback with order-preserving replay."""
 
+    #: The names :meth:`counters` reports (the fleet rollup's buffer
+    #: list): lifetime tallies, then the current backlog.
+    COUNTERS = ("appended", "applied", "requeued", "dropped", "discarded", "pending")
+
     def __init__(self, capacity: int | None = None) -> None:
         """``capacity`` bounds each key's queue; the oldest entry is
         dropped (and counted) on overflow.  None means unbounded."""
@@ -215,14 +219,9 @@ class ObservationBuffer:
     def counters(self) -> dict[str, int]:
         """All counters plus the current backlog, as one consistent view."""
         with self._lock:
-            return {
-                "appended": self._appended,
-                "applied": self._applied,
-                "requeued": self._requeued,
-                "dropped": self._dropped,
-                "discarded": self._discarded,
-                "pending": sum(len(queue) for queue in self._queues.values()),
-            }
+            view = {name: getattr(self, f"_{name}") for name in self.COUNTERS[:-1]}
+            view["pending"] = sum(len(queue) for queue in self._queues.values())
+            return view
 
     def __repr__(self) -> str:
         counters = self.counters()

@@ -18,18 +18,29 @@ a classic consistent-hash ring:
 
 The router itself holds no locks; the cluster serialises membership
 changes and routing lookups behind its own lock.
+
+Both fleet front ends — the threaded
+:class:`~repro.cluster.service.ShardedSelectivityService` and the
+asyncio :class:`~repro.net.gateway.SelectivityGateway` — take their
+membership decisions here: :meth:`ShardRouter.moved_keys` names the keys
+a resize must migrate, and :func:`drain_budget` slices one fleet-wide
+drain budget across the members in turn.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from collections.abc import Iterable, Sequence
+import time
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import TypeVar
 
-from repro.exceptions import ClusterError
+from repro.exceptions import ClusterError, ServingError
 from repro.serving.registry import ModelKey
 
-__all__ = ["ShardRouter"]
+__all__ = ["ShardRouter", "drain_budget"]
+
+_Member = TypeVar("_Member")
 
 _SEPARATOR = "\x1f"
 
@@ -106,9 +117,21 @@ class ShardRouter:
         ) % len(self._points)
         return self._owners[index]
 
-    def route_many(self, keys: Sequence[ModelKey]) -> list[str]:
-        """Route a batch of keys (one membership view for the whole batch)."""
-        return [self.route(key) for key in keys]
+    def moved_keys(
+        self, placements: Mapping[ModelKey, str]
+    ) -> list[tuple[ModelKey, str, str]]:
+        """The keys whose route no longer matches where they live.
+
+        ``placements`` maps each served key to its current owner; the
+        result is ``(key, owner, new owner)`` for every key the current
+        ring routes elsewhere, sorted by key — after an :meth:`add`,
+        exactly the arcs the new shard took over.
+        """
+        return sorted(
+            (key, owner, self.route(key))
+            for key, owner in placements.items()
+            if self.route(key) != owner
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -130,3 +153,26 @@ class ShardRouter:
             f"ShardRouter(shards={len(self._shards)}, "
             f"replicas={self._replicas})"
         )
+
+
+def drain_budget(
+    members: Sequence[_Member], timeout: float | None
+) -> Iterator[tuple[_Member, float | None]]:
+    """Yield each member with its slice of a fleet-total drain budget.
+
+    ``timeout`` (seconds) bounds the whole sweep, not each member: every
+    member gets whatever remains when its turn comes (``None`` when
+    unbounded).  An exhausted budget raises :class:`ServingError` naming
+    how many members were still undrained.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    for position, member in enumerate(members):
+        remaining: float | None = None
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ServingError(
+                    f"drain budget of {timeout}s exhausted with "
+                    f"{len(members) - position} member(s) undrained"
+                )
+        yield member, remaining

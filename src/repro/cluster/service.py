@@ -19,20 +19,23 @@ results in input order.
 
 Elasticity: :meth:`add_shard` / :meth:`remove_shard` change the ring and
 migrate exactly the keys whose route changed (the consistent-hash
-minimal set), each by drain → buffered-feedback flush → trainer hand-off
-→ re-registration on the destination, so a resize never loses feedback
-and never serves from a half-moved model.
+minimal set, :meth:`~repro.cluster.router.ShardRouter.moved_keys`).
+Each key moves as one :meth:`~repro.cluster.shard.ShardWorker.export_key`
+bundle installed by :meth:`~repro.cluster.shard.ShardWorker.install_key`
+on the destination — the same bundle the socket workers ship across
+processes and checkpoint to disk — so a resize never loses feedback and
+never serves from a half-moved model.
 
 Observability: :attr:`stats` is a
-:class:`~repro.cluster.stats.ClusterStats` aggregating per-shard hit
-rates, merged latency percentiles, refit and buffer counters into one
-fleet view.
+:class:`~repro.cluster.stats.ClusterStats` rolling the shards'
+:meth:`~repro.cluster.shard.ShardWorker.stats_view` dicts into one fleet
+view through :func:`~repro.cluster.stats.merge_worker_stats`, the same
+rollup the gateway's ``fleet_stats`` uses.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
@@ -41,9 +44,9 @@ import numpy as np
 from repro.estimators.backend import TrainableBackend, as_backend
 from repro.exceptions import ClusterError, ServingError
 from repro.serving.policy import RefitPolicy
-from repro.serving.registry import ModelKey, normalize_key
+from repro.serving.registry import ModelKey, group_by_key, normalize_key
 from repro.serving.snapshot import ModelSnapshot
-from repro.cluster.router import ShardRouter
+from repro.cluster.router import ShardRouter, drain_budget
 from repro.cluster.shard import ShardWorker
 from repro.cluster.stats import ClusterStats
 
@@ -63,15 +66,13 @@ class ShardedSelectivityService:
         scheduler_mode: str = "background",
         buffer_capacity: int | None = None,
         replicas: int = 64,
-        fanout_threads: bool = True,
     ) -> None:
         """Build a cluster of ``num_shards`` identically configured shards.
 
         ``cache_capacity`` / ``per_key_cache_budget`` / ``policy`` /
         ``scheduler_mode`` / ``buffer_capacity`` apply *per shard* (each
         shard models one node with its own resources).  ``replicas``
-        controls ring granularity; ``fanout_threads=False`` evaluates
-        cross-shard batches sequentially (deterministic profiling mode).
+        controls ring granularity.
         """
         if shard_ids is None:
             if num_shards < 1:
@@ -94,12 +95,8 @@ class ShardedSelectivityService:
         self._router = ShardRouter(shard_ids, replicas=replicas)
         self._lock = threading.RLock()
         self._next_shard_index = len(shard_ids)
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=16, thread_name_prefix="repro-cluster"
-            )
-            if fanout_threads
-            else None
+        self._pool = ThreadPoolExecutor(
+            max_workers=16, thread_name_prefix="repro-cluster"
         )
         self._stats = ClusterStats(self)
         self._closed = False
@@ -337,12 +334,7 @@ class ShardedSelectivityService:
         # and routing once per *unique* key (not per pair) keeps the
         # ring hashing — and the routing-lock hold — proportional to the
         # number of models in the burst, not its length.
-        groups: dict[ModelKey, tuple[list[int], list[object]]] = {}
-        for index, (table, predicate) in enumerate(pairs):
-            key = normalize_key(table, ())
-            indices, predicates = groups.setdefault(key, ([], []))
-            indices.append(index)
-            predicates.append(predicate)
+        groups = group_by_key(pairs)
         with self._lock:
             shard_groups: dict[
                 str, dict[ModelKey, tuple[list[int], list[object]]]
@@ -371,7 +363,7 @@ class ShardedSelectivityService:
                     continue
                 results[indices] = values
 
-        if self._pool is not None and len(shard_groups) > 1 and not closed:
+        if len(shard_groups) > 1 and not closed:
             try:
                 futures = [
                     self._pool.submit(run_shard, workers[shard_id], by_key)
@@ -441,16 +433,7 @@ class ShardedSelectivityService:
         """
         with self._lock:
             workers = tuple(self._workers.values())
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for position, worker in enumerate(workers):
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServingError(
-                        f"drain budget of {timeout}s exhausted with "
-                        f"{len(workers) - position} shard(s) undrained"
-                    )
+        for worker, remaining in drain_budget(workers, timeout):
             worker.drain(remaining)
 
     # ------------------------------------------------------------------
@@ -485,20 +468,12 @@ class ShardedSelectivityService:
                 for owner, worker in self._workers.items()
                 for key in worker.model_keys()
             }
-            worker = ShardWorker(shard_id, **self._shard_config)
-            self._workers[shard_id] = worker
-            self._router.add(shard_id)
-            moved = sorted(
-                (key, owner)
-                for key, owner in placements.items()
-                if self._router.route(key) != owner
+            self._workers[shard_id] = ShardWorker(
+                shard_id, **self._shard_config
             )
-            for key, owner in moved:
-                self._migrate(
-                    key,
-                    self._workers[owner],
-                    self._workers[self._router.route(key)],
-                )
+            self._router.add(shard_id)
+            for key, owner, dest in self._router.moved_keys(placements):
+                self._migrate(key, self._workers[owner], self._workers[dest])
             return shard_id
 
     def remove_shard(self, shard_id: str) -> int:
@@ -546,8 +521,7 @@ class ShardedSelectivityService:
             if self._closed:
                 return
             workers = tuple(self._workers.values())
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        self._pool.shutdown(wait=True)
         for worker in workers:
             worker.close()
         with self._lock:
@@ -571,70 +545,11 @@ class ShardedSelectivityService:
     def _migrate(
         self, key: ModelKey, source: ShardWorker, dest: ShardWorker
     ) -> None:
-        # Order matters: replay buffered feedback into the trainer, let
-        # in-flight refits publish, then hand the trainer to the
-        # destination.  refit_backlog=False republishes the exact model
-        # the source was serving — a migration moves a snapshot, it does
-        # not retrain — while unabsorbed feedback stays pending toward
-        # the destination's refit policy.
-        source.flush(key, blocking=True)
-        source.service.drain()
-        drift_errors = source.service.drift_errors(key)
-        # The per-backend A/B error windows move too: unregistering
-        # wipes them on the source, and a promote decision made after a
-        # resize must still see the evidence accumulated before it.
-        backend_windows = {
-            backend: window
-            for (model, backend), window
-            in source.stats.backend_error_windows().items()
-            if model == str(key)
-        }
-        # The lifetime accumulators behind the relative drift (shift)
-        # trigger move too; they are *installed* after the window replay
-        # below (absorb replaces, so the replayed window is not counted
-        # twice).
-        lifetime_totals = {
-            (model, backend): totals
-            for (model, backend), totals
-            in source.stats.lifetime_error_totals().items()
-            if model == str(key)
-        }
-        # An A/B pair moves as a pair: withdraw the challenger first
-        # (the registry refuses to split them), then re-shadow it on the
-        # destination with its mirrored state — the same exact-snapshot
-        # discipline as the champion, shadow fraction and drift evidence
-        # included.
-        challenger = None
-        challenger_errors: tuple[float, ...] = ()
-        shadow_frac = 1.0
-        if source.has_challenger(key):
-            challenger_errors = source.service.challenger_drift_errors(key)
-            shadow_frac = source.service.challenger_shadow_frac(key)
-            challenger = source.unregister_challenger(key)
-        trainer = source.unregister_model(key)
-        dest.register_model(
-            key, trainer, refit_backlog=False, initial_errors=drift_errors
-        )
-        if challenger is not None:
-            dest.register_challenger(
-                key,
-                challenger,
-                shadow_frac=shadow_frac,
-                refit_backlog=False,
-                initial_errors=challenger_errors,
-            )
-        for backend, window in backend_windows.items():
-            dest.stats.record_backend_errors(key, backend, window)
-        if lifetime_totals:
-            dest.stats.absorb_lifetime_errors(lifetime_totals)
+        dest.install_key(source.export_key(key))
         # Final sweep: an observe that raced the hand-off may have
-        # buffered on the source after its last flush; forward the
-        # leftovers (and release the source's per-key buffer state).
-        leftovers = source.buffer.discard(key)
-        for observation in leftovers:
-            dest.buffer.append(key, observation)
-        if leftovers:
-            dest.flush(key, blocking=True)
+        # buffered on the source after the export; forward it too (and
+        # release the source's per-key buffer state).
+        dest.forward(key, source.buffer.discard(key))
 
     def _ensure_open(self) -> None:
         if self._closed:

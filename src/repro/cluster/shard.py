@@ -29,11 +29,24 @@ vectorised fast path intact).  Writes go through the buffer:
 Nothing in a shard knows about routing; the
 :class:`~repro.cluster.service.ShardedSelectivityService` owns the ring
 and hands each shard only the keys it serves.
+
+A shard is also the one owner of a key's hand-off state.
+:meth:`ShardWorker.export_key` withdraws a key for migration,
+:meth:`ShardWorker.capture_key` copies it for a checkpoint while it keeps
+serving, and :meth:`ShardWorker.install_key` installs either bundle on
+a destination.  Bundles carry the trainer, the drift window, the A/B
+error windows, the lifetime error totals and any challenger with its
+``shadow_frac``.  The in-process cluster moves bundles as plain objects;
+the socket worker passes ``encode_backend``/``decode_backend`` where a
+bundle leaves the process.  :meth:`ShardWorker.stats_view` is the one
+per-shard stats export that both fleets roll up through
+:func:`~repro.cluster.stats.merge_worker_stats`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -49,6 +62,10 @@ from repro.serving.stats import ServingStats
 from repro.cluster.buffer import BufferedObservation, ObservationBuffer
 
 __all__ = ["ShardWorker"]
+
+
+def _identity(backend: object) -> object:
+    return backend
 
 
 def _triples(
@@ -303,6 +320,121 @@ class ShardWorker:
         return sum(flush_one(target) for target in self._buffer.keys())
 
     # ------------------------------------------------------------------
+    # Key hand-off (migration and checkpoints share one bundle)
+    # ------------------------------------------------------------------
+    def export_key(
+        self,
+        key: ModelKey,
+        serializer: Callable[[TrainableBackend], object] = _identity,
+    ) -> dict[str, Any]:
+        """Withdraw ``key`` from this shard into one hand-off bundle.
+
+        Buffered feedback is replayed and in-flight refits publish
+        first, so the bundle carries the exact model the shard was
+        serving.  The challenger leaves before the champion (the
+        registry refuses to split an A/B pair).  Observations that
+        raced the withdrawal ride along as ``leftovers``.  After this
+        returns the key no longer exists here.
+        """
+        self.flush(key, blocking=True)
+        self._service.drain()
+        bundle = self._collect(
+            key,
+            lambda: serializer(self.unregister_challenger(key)),
+            lambda: serializer(self.unregister_model(key)),
+        )
+        bundle["leftovers"] = tuple(self._buffer.discard(key))
+        return bundle
+
+    def capture_key(
+        self,
+        key: ModelKey,
+        serializer: Callable[[TrainableBackend], object] | None = None,
+    ) -> dict[str, Any]:
+        """Copy ``key``'s hand-off state while it keeps serving.
+
+        Buffered feedback is flushed first, so the recorded
+        ``feedback_count`` covers everything acknowledged so far.  The
+        trainers are serialised under their locks via
+        :meth:`~repro.serving.service.SelectivityService.export_trainer`
+        (``serializer`` defaults to :func:`copy.deepcopy`).
+        """
+        self.flush(key, blocking=True)
+        service = self._service
+        bundle = self._collect(
+            key,
+            lambda: service.export_challenger(key, serializer=serializer),
+            lambda: service.export_trainer(key, serializer=serializer),
+        )
+        bundle["feedback_count"] = service.feedback_count(key)
+        return bundle
+
+    def install_key(
+        self,
+        bundle: dict[str, Any],
+        deserializer: Callable[[object], TrainableBackend] = _identity,
+    ) -> ModelKey:
+        """Install an exported or captured bundle on this shard.
+
+        ``refit_backlog=False`` republishes the exact model the bundle
+        carries: a hand-off moves a model, it does not retrain, and
+        unabsorbed feedback stays pending toward this shard's refit
+        policy.  The A/B windows are replayed before the lifetime totals
+        are installed (installing replaces, so the replayed window is
+        not counted twice).  Bundles written before a field existed
+        install with that field's default.
+        """
+        key = bundle["key"]
+        self.register_model(
+            key,
+            deserializer(bundle["trainer"]),
+            refit_backlog=False,
+            initial_errors=bundle["drift_errors"],
+        )
+        if bundle.get("challenger") is not None:
+            self.register_challenger(
+                key,
+                deserializer(bundle["challenger"]),
+                shadow_frac=bundle["shadow_frac"],
+                refit_backlog=False,
+                initial_errors=bundle["challenger_errors"],
+            )
+        for backend, window in bundle.get("backend_windows", {}).items():
+            self._service.stats.record_backend_errors(key, backend, window)
+        if bundle.get("lifetime_totals"):
+            self._service.stats.absorb_lifetime_errors(bundle["lifetime_totals"])
+        self.forward(key, bundle.get("leftovers", ()))
+        return key
+
+    def forward(
+        self, key: ModelKey, observations: Sequence[BufferedObservation]
+    ) -> None:
+        """Buffer observations another shard accepted for ``key`` and
+        absorb them now."""
+        for observation in observations:
+            self._buffer.append(key, observation)
+        if observations:
+            self.flush(key, blocking=True)
+
+    def stats_view(self) -> dict[str, Any]:
+        """This shard's stats as one plain dict, the fleet rollup's input.
+
+        ``counters`` (:attr:`ServingStats.COUNTERS`), the ``latencies``
+        reservoir, ``buffer`` (:attr:`ObservationBuffer.COUNTERS`), the
+        raw ``backend_error_windows`` and the ``model_keys`` count — see
+        :func:`~repro.cluster.stats.merge_worker_stats`.
+        """
+        stats = self.stats
+        return {
+            "shard_id": self._shard_id,
+            "counters": stats.counters(),
+            "latencies": stats.latency_values(),
+            "buffer": self._buffer.counters(),
+            "backend_error_windows": stats.backend_error_windows(),
+            "model_keys": len(self.model_keys()),
+        }
+
+    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def refit_now(self, key: ModelKey) -> ModelSnapshot:
@@ -329,6 +461,46 @@ class ShardWorker:
         """Push every fast slot's buffered request accounting to stats."""
         for slot in list(self._read_slots.values()):
             slot.flush()
+
+    def _collect(
+        self,
+        key: ModelKey,
+        take_challenger: Callable[[], object],
+        take_trainer: Callable[[], object],
+    ) -> dict[str, Any]:
+        """The bundle fields shared by export and capture.
+
+        The key's evidence is read before either take runs, because
+        withdrawing a backend wipes its drift and error windows.
+        """
+        service = self._service
+        model = str(key)
+        bundle: dict[str, Any] = {
+            "key": key,
+            "drift_errors": tuple(service.drift_errors(key)),
+            "backend_windows": {
+                backend: window
+                for (owner, backend), window
+                in service.stats.backend_error_windows().items()
+                if owner == model
+            },
+            "lifetime_totals": {
+                scope: totals
+                for scope, totals in service.stats.lifetime_error_totals().items()
+                if scope[0] == model
+            },
+            "challenger": None,
+            "challenger_errors": (),
+            "shadow_frac": 1.0,
+        }
+        if self.has_challenger(key):
+            bundle["challenger_errors"] = tuple(
+                service.challenger_drift_errors(key)
+            )
+            bundle["shadow_frac"] = service.challenger_shadow_frac(key)
+            bundle["challenger"] = take_challenger()
+        bundle["trainer"] = take_trainer()
+        return bundle
 
     def _on_publish(self, key: ModelKey, snapshot: ModelSnapshot) -> None:
         # Runs on the refit thread, which still holds the trainer lock

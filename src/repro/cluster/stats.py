@@ -1,13 +1,21 @@
 """Fleet-wide metrics: per-shard serving stats rolled up into one surface.
 
+:func:`merge_worker_stats` is the one fleet rollup.  It reduces
+per-shard :meth:`~repro.cluster.shard.ShardWorker.stats_view` dicts:
+counters sum across shards, the cache hit rate is recomputed from the
+summed hit/miss counts (a mean of per-shard rates would weight an idle
+shard like a hot one), and latency percentiles are computed over the
+*merged* per-shard latency reservoirs (percentiles do not average).  The
+counter names come from :attr:`~repro.serving.stats.ServingStats.
+COUNTERS` and :attr:`~repro.cluster.buffer.ObservationBuffer.COUNTERS`,
+so no list here needs keeping in sync.
+
 :class:`ClusterStats` presents a :class:`~repro.cluster.service.
-ShardedSelectivityService` as a single observable system.  Counters sum
-across shards; the cache hit rate is recomputed from the summed hit/miss
-counts (a mean of per-shard rates would weight an idle shard like a hot
-one); latency percentiles are computed over the *merged* per-shard
-latency reservoirs (percentiles do not average).  The per-shard view is
-kept alongside the aggregate so operators can spot a hot or unbalanced
-shard at a glance.
+ShardedSelectivityService` as a single observable system through that
+rollup; the gateway's ``fleet_stats`` feeds the same function the views
+its socket workers return, so both fleets read one schema.  The
+per-shard view is kept alongside the aggregate so operators can spot a
+hot or unbalanced shard at a glance.
 
 Counters cover the *live* fleet: like any per-node metrics system, a
 shard retired by ``remove_shard`` takes its history with it (its keys'
@@ -19,31 +27,61 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ServingError
+from repro.serving.stats import ServingStats, mean_backend_errors
+from repro.cluster.buffer import ObservationBuffer
 
-__all__ = ["ClusterStats"]
+__all__ = ["ClusterStats", "merge_worker_stats"]
 
-_SUMMED_COUNTERS = (
-    "estimate_requests",
-    "batch_requests",
-    "predicates_served",
-    "cache_hits",
-    "cache_misses",
-    "observations",
-    "challenger_observations",
-    "refits_triggered",
-    "drift_refits_triggered",
-    "refits_completed",
-    "challenger_refits",
-    "promotions",
-    "sandwich_estimates",
-    "sandwich_learned",
-    "sandwich_independence",
-    "sandwich_upper_clamps",
-    "sandwich_lower_clamps",
-    "checkpoints_taken",
-    "checkpoint_restores",
-)
+
+def merge_worker_stats(
+    per_worker: dict[str, dict[str, object]],
+) -> dict[str, object]:
+    """Roll per-shard stats views into one fleet view.
+
+    ``per_worker`` maps shard name to a
+    :meth:`~repro.cluster.shard.ShardWorker.stats_view` dict —
+    in-process shards hand theirs over directly, socket workers ship
+    theirs over the wire.  Returns ``{"aggregate": ..., "backend_errors":
+    ...}``: every :attr:`ServingStats.COUNTERS` entry and every
+    ``observations_<buffer counter>`` summed, the hit rate recomputed
+    from summed hits and misses (a mean of per-shard rates would weight
+    an idle shard like a hot one), latency percentiles over the *merged*
+    reservoirs (percentiles do not average), and each ``(key, backend)``
+    error window merged before its mean is taken.
+    """
+    totals: dict[str, float] = dict.fromkeys(ServingStats.COUNTERS, 0)
+    buffer_totals = dict.fromkeys(ObservationBuffer.COUNTERS, 0)
+    latencies: list[float] = []
+    merged_errors: dict[tuple[str, str], list[float]] = {}
+    model_keys = 0
+    for view in per_worker.values():
+        counters = view.get("counters", {})
+        for name in totals:
+            totals[name] += counters.get(name, 0)
+        latencies.extend(view.get("latencies", ()))
+        for name, value in view.get("buffer", {}).items():
+            if name in buffer_totals:
+                buffer_totals[name] += value
+        for scope, window in view.get("backend_error_windows", {}).items():
+            merged_errors.setdefault(scope, []).extend(window)
+        model_keys += int(view.get("model_keys", 0))
+    lookups = totals["cache_hits"] + totals["cache_misses"]
+    totals["hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
+    merged = np.array(latencies) if latencies else None
+    totals["p50_latency_seconds"] = (
+        float(np.percentile(merged, 50.0)) if merged is not None else 0.0
+    )
+    totals["p99_latency_seconds"] = (
+        float(np.percentile(merged, 99.0)) if merged is not None else 0.0
+    )
+    for name, value in buffer_totals.items():
+        totals[f"observations_{name}"] = value
+    totals["shard_count"] = len(per_worker)
+    totals["model_keys"] = model_keys
+    return {
+        "aggregate": totals,
+        "backend_errors": mean_backend_errors(merged_errors),
+    }
 
 
 class ClusterStats:
@@ -76,109 +114,46 @@ class ClusterStats:
         (rather than averaging shard means) keeps the statistic honest
         if any transient overlap exists mid-resize.
         """
-        merged: dict[tuple[str, str], list[float]] = {}
-        for worker in self._workers().values():
-            for scope, window in worker.stats.backend_error_windows().items():
-                merged.setdefault(scope, []).extend(window)
-        view: dict[str, dict[str, float]] = {}
-        for (model, backend), window in merged.items():
-            if window:
-                view.setdefault(model, {})[backend] = float(
-                    sum(window) / len(window)
-                )
-        return view
+        return self._merged()["backend_errors"]
 
     def aggregate(self) -> dict[str, float]:
         """One fleet-wide view: summed counters, true hit rate, merged
         latency percentiles."""
-        workers = self._workers()
-        totals: dict[str, float] = {name: 0 for name in _SUMMED_COUNTERS}
-        latencies: list[float] = []
-        buffer_totals = {
-            "appended": 0, "applied": 0, "requeued": 0, "dropped": 0,
-            "discarded": 0, "pending": 0,
-        }
-        model_keys = 0
-        for worker in workers.values():
-            counters = worker.stats.counters()
-            for name in _SUMMED_COUNTERS:
-                totals[name] += counters[name]
-            latencies.extend(worker.stats.latency_values())
-            for name, value in worker.buffer.counters().items():
-                buffer_totals[name] += value
-            model_keys += len(worker.model_keys())
-        lookups = totals["cache_hits"] + totals["cache_misses"]
-        totals["hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
-        merged = np.array(latencies) if latencies else None
-        totals["p50_latency_seconds"] = (
-            float(np.percentile(merged, 50.0)) if merged is not None else 0.0
-        )
-        totals["p99_latency_seconds"] = (
-            float(np.percentile(merged, 99.0)) if merged is not None else 0.0
-        )
-        for name, value in buffer_totals.items():
-            totals[f"observations_{name}"] = value
-        totals["shard_count"] = len(workers)
-        totals["model_keys"] = model_keys
-        return totals
+        return self._merged()["aggregate"]
 
     def snapshot(self) -> dict[str, object]:
         """Aggregate plus per-shard breakdown, as plain dicts."""
-        return {
-            "aggregate": self.aggregate(),
-            "per_shard": self.per_shard(),
-            "backend_errors": self.backend_errors(),
-        }
+        merged = self._merged()
+        merged["per_shard"] = self.per_shard()
+        return merged
 
     # ------------------------------------------------------------------
     # Convenience properties (mirror ServingStats where they make sense)
     # ------------------------------------------------------------------
-    def _summed(self, *names: str) -> dict[str, int]:
-        """Sum specific counters without touching latency reservoirs."""
-        totals = dict.fromkeys(names, 0)
-        for worker in self._workers().values():
-            counters = worker.stats.counters()
-            for name in names:
-                totals[name] += counters[name]
-        return totals
-
     @property
     def hit_rate(self) -> float:
         """Fleet-wide cache hit rate over all predicates served."""
-        totals = self._summed("cache_hits", "cache_misses")
-        lookups = totals["cache_hits"] + totals["cache_misses"]
-        return totals["cache_hits"] / lookups if lookups else 0.0
+        return self.aggregate()["hit_rate"]
 
     @property
     def refits_completed(self) -> int:
         """Refits published across all shards."""
-        return int(self._summed("refits_completed")["refits_completed"])
+        return int(self.aggregate()["refits_completed"])
 
     @property
     def observations(self) -> int:
         """Observations absorbed by trainers across all shards."""
-        return int(self._summed("observations")["observations"])
-
-    def latency_percentile(self, percentile: float) -> float:
-        """Fleet-wide latency percentile over the merged recent windows."""
-        if not (0.0 <= percentile <= 100.0):
-            raise ServingError("percentile must be in [0, 100]")
-        latencies: list[float] = []
-        for worker in self._workers().values():
-            latencies.extend(worker.stats.latency_values())
-        if not latencies:
-            return 0.0
-        return float(np.percentile(np.array(latencies), percentile))
+        return int(self.aggregate()["observations"])
 
     @property
     def p50_latency_seconds(self) -> float:
-        """Fleet-wide median request latency."""
-        return self.latency_percentile(50.0)
+        """Fleet-wide median request latency over the merged windows."""
+        return self.aggregate()["p50_latency_seconds"]
 
     @property
     def p99_latency_seconds(self) -> float:
-        """Fleet-wide tail request latency."""
-        return self.latency_percentile(99.0)
+        """Fleet-wide tail request latency over the merged windows."""
+        return self.aggregate()["p99_latency_seconds"]
 
     # ------------------------------------------------------------------
     # Internals
@@ -186,11 +161,19 @@ class ClusterStats:
     def _workers(self):
         return self._cluster._workers_snapshot()
 
+    def _merged(self) -> dict[str, object]:
+        return merge_worker_stats(
+            {
+                shard_id: worker.stats_view()
+                for shard_id, worker in self._workers().items()
+            }
+        )
+
     def __repr__(self) -> str:
-        totals = self._summed("predicates_served", "refits_completed")
+        totals = self.aggregate()
         return (
-            f"ClusterStats(shards={len(self._workers())}, "
+            f"ClusterStats(shards={totals['shard_count']}, "
             f"served={int(totals['predicates_served'])}, "
-            f"hit_rate={self.hit_rate:.2f}, "
+            f"hit_rate={totals['hit_rate']:.2f}, "
             f"refits={int(totals['refits_completed'])})"
         )

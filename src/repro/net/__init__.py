@@ -29,15 +29,18 @@ real process and socket boundaries:
   :class:`~repro.serving.adapter.ServingEstimator`, the feedback loop,
   and the optimizer work over the wire with zero call-site changes.
 * :mod:`repro.net.stats` — gateway-side counters (in-flight, per-worker
-  latency windows, retries, reconnects) and the fleet aggregation that
-  merges remote worker stats into a
-  :class:`~repro.cluster.stats.ClusterStats`-compatible view.
+  latency windows, retries, reconnects); the workers' own stats views
+  are rolled up by :func:`~repro.cluster.stats.merge_worker_stats`, the
+  function the in-process :class:`~repro.cluster.stats.ClusterStats`
+  uses, re-exported here.
 * :mod:`repro.net.breaker` — :class:`CircuitBreaker` (closed → open →
   half-open probe) and the jittered-backoff helpers the gateway and
   supervisor share.
 * :mod:`repro.net.checkpoint` — :class:`CheckpointStore`, durable
-  per-key snapshot+trainer bundles written atomically, so a respawned
-  worker boots with its learned state instead of a cold prior.
+  per-key hand-off bundles (the shard's
+  :meth:`~repro.cluster.shard.ShardWorker.capture_key`) written
+  atomically, so a respawned worker boots with its learned state
+  instead of a cold prior.
 * :mod:`repro.net.supervisor` — :class:`FleetSupervisor`, which watches
   worker processes, respawns crashes with backoff, repoints the
   gateway, and triggers journal resync; gives up after a crash loop.
@@ -53,11 +56,7 @@ same boundary as multiprocessing itself.  TLS/auth is a roadmap item.
 
 from repro.net.breaker import CircuitBreaker, equal_jitter, full_jitter
 from repro.net.chaos import ChaosProxy, ChaosSchedule
-from repro.net.checkpoint import (
-    CheckpointStore,
-    checkpoint_bundle,
-    restore_bundle,
-)
+from repro.net.checkpoint import CheckpointStore
 from repro.net.client import RemoteSelectivityService, connect
 from repro.net.gateway import GatewayServer, SelectivityGateway
 from repro.net.protocol import (
@@ -92,8 +91,6 @@ __all__ = [
     "full_jitter",
     "equal_jitter",
     "CheckpointStore",
-    "checkpoint_bundle",
-    "restore_bundle",
     "FleetSupervisor",
     "ChaosProxy",
     "ChaosSchedule",

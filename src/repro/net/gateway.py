@@ -70,9 +70,10 @@ from repro.exceptions import (
     ServingError,
     WorkerUnavailableError,
 )
-from repro.serving.registry import ModelKey, normalize_key
+from repro.serving.registry import ModelKey, group_by_key, normalize_key
 from repro.serving.snapshot import ModelSnapshot
-from repro.cluster.router import ShardRouter
+from repro.cluster.router import ShardRouter, drain_budget
+from repro.cluster.stats import merge_worker_stats
 from repro.net.breaker import CircuitBreaker, full_jitter
 from repro.net.protocol import (
     Request,
@@ -83,7 +84,7 @@ from repro.net.protocol import (
     read_message,
     write_message,
 )
-from repro.net.stats import GatewayStats, merge_worker_stats
+from repro.net.stats import GatewayStats
 
 __all__ = ["SelectivityGateway", "GatewayServer"]
 
@@ -272,6 +273,11 @@ class _WriteJournal:
             maxlen=max(1, journal_capacity)
         )
         self.pending: deque[tuple[object, float]] = deque()
+
+    def record_delivered(self, predicate: object, selectivity: float) -> None:
+        """A worker confirmed this write."""
+        self.delivered += 1
+        self.recent.append((predicate, selectivity))
 
 
 class SelectivityGateway:
@@ -487,13 +493,11 @@ class SelectivityGateway:
                     value = await link.call(
                         method, kwargs, timeout=wire_timeout
                     )
-                except RemoteTimeoutError:
-                    if breaker is not None and breaker.record_failure():
-                        self._stats.record_breaker_open()
-                    raise  # the worker may still apply it; never replay
                 except (WorkerUnavailableError, NetError) as error:
                     if breaker is not None and breaker.record_failure():
                         self._stats.record_breaker_open()
+                    if isinstance(error, RemoteTimeoutError):
+                        raise  # the worker may still apply it; never replay
                     last_error = error
                 else:
                     if breaker is not None:
@@ -571,6 +575,17 @@ class SelectivityGateway:
         payload = await self._call_routed(key, "snapshot_for", {"table": key})
         self._snapshots[key] = decode_snapshot(payload)
 
+    def _cache_snapshot(self, key: ModelKey, payload: bytes) -> None:
+        """Decode a passed-through snapshot into the degraded cache.
+
+        The caller still gets the payload it asked for; an undecodable
+        one only leaves the cache as it was, and is counted.
+        """
+        try:
+            self._snapshots[key] = decode_snapshot(payload)
+        except Exception:
+            self._stats.record_snapshot_decode_error()
+
     async def model_keys(self) -> tuple[ModelKey, ...]:
         """Every key served anywhere in the fleet, sorted."""
         names = self._router.shards
@@ -591,10 +606,7 @@ class SelectivityGateway:
         """The owning worker's current snapshot, wire-encoded."""
         key = normalize_key(table, columns)
         payload = await self._call_routed(key, "snapshot_for", {"table": key})
-        try:
-            self._snapshots[key] = decode_snapshot(payload)
-        except Exception:
-            pass  # an undecodable payload must not fail the passthrough
+        self._cache_snapshot(key, payload)
         return payload
 
     async def feedback_count(
@@ -679,12 +691,7 @@ class SelectivityGateway:
         results = np.empty(len(pairs))
         if not pairs:
             return results
-        groups: dict[ModelKey, tuple[list[int], list[object]]] = {}
-        for index, (table, predicate) in enumerate(pairs):
-            key = normalize_key(table, ())
-            indices, predicates = groups.setdefault(key, ([], []))
-            indices.append(index)
-            predicates.append(predicate)
+        groups = group_by_key(pairs)
         self._stats.record_fanout(
             len({self._router.route(key) for key in groups})
         )
@@ -742,15 +749,7 @@ class SelectivityGateway:
             if journal.pending:
                 return self._buffer_write(key, journal, predicate, selectivity)
         try:
-            result = await self._call_routed(
-                key,
-                "observe",
-                {
-                    "table": key,
-                    "predicate": predicate,
-                    "selectivity": selectivity,
-                },
-            )
+            result = await self._send_observe(key, predicate, selectivity)
         except RemoteTimeoutError:
             raise
         except (WorkerUnavailableError, NetError):
@@ -761,9 +760,17 @@ class SelectivityGateway:
         # (the boolean only reports whether a refit was triggered), so
         # the journal counts every delivered write.
         if journal is not None:
-            journal.delivered += 1
-            journal.recent.append((predicate, selectivity))
+            journal.record_delivered(predicate, selectivity)
         return result
+
+    async def _send_observe(
+        self, key: ModelKey, predicate: object, selectivity: float
+    ) -> bool:
+        return await self._call_routed(
+            key,
+            "observe",
+            {"table": key, "predicate": predicate, "selectivity": selectivity},
+        )
 
     def _buffer_write(
         self,
@@ -790,22 +797,13 @@ class SelectivityGateway:
         while journal.pending:
             predicate, selectivity = journal.pending.popleft()
             try:
-                await self._call_routed(
-                    key,
-                    "observe",
-                    {
-                        "table": key,
-                        "predicate": predicate,
-                        "selectivity": selectivity,
-                    },
-                )
+                await self._send_observe(key, predicate, selectivity)
             except (WorkerUnavailableError, NetError, ServingError):
                 # Still down (or the restored worker lost the key and
                 # awaits resync) — put the write back and try later.
                 journal.pending.appendleft((predicate, selectivity))
                 break
-            journal.delivered += 1
-            journal.recent.append((predicate, selectivity))
+            journal.record_delivered(predicate, selectivity)
             self._stats.record_buffered_replay()
             replayed += 1
         return replayed
@@ -856,15 +854,7 @@ class SelectivityGateway:
                         lost += shortfall
                         self._stats.record_lost_writes(shortfall)
                     for predicate, selectivity in tail:
-                        await self._call_routed(
-                            key,
-                            "observe",
-                            {
-                                "table": key,
-                                "predicate": predicate,
-                                "selectivity": selectivity,
-                            },
-                        )
+                        await self._send_observe(key, predicate, selectivity)
                         replayed += 1
                         self._stats.record_buffered_replay()
                 replayed += await self._replay_pending_for_key(key, journal)
@@ -887,10 +877,7 @@ class SelectivityGateway:
         key = normalize_key(table, columns)
         link = self._link_for(key)
         payload = await link.call("refit_now", {"table": key}, timeout=None)
-        try:
-            self._snapshots[key] = decode_snapshot(payload)
-        except Exception:
-            pass
+        self._cache_snapshot(key, payload)
         return payload
 
     async def flush(self, blocking: bool = True) -> int:
@@ -915,18 +902,8 @@ class SelectivityGateway:
         remaining workers need — and reported in one ServingError at
         the end.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        names = self._router.shards
         unreachable: list[str] = []
-        for position, name in enumerate(names):
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServingError(
-                        f"drain budget of {timeout}s exhausted with "
-                        f"{len(names) - position} worker(s) undrained"
-                    )
+        for name, remaining in drain_budget(self._router.shards, timeout):
             breaker = self._breakers.get(name)
             if breaker is not None and not breaker.allow():
                 unreachable.append(name)
@@ -977,17 +954,8 @@ class SelectivityGateway:
                     placements[key] = owner
             self._links[name] = link
             self._router.add(name)
-            moved = sorted(
-                (key, owner)
-                for key, owner in placements.items()
-                if self._router.route(key) != owner
-            )
-            for key, owner in moved:
-                await self._migrate(
-                    key,
-                    self._links[owner],
-                    self._links[self._router.route(key)],
-                )
+            for key, owner, dest in self._router.moved_keys(placements):
+                await self._migrate(key, self._links[owner], self._links[dest])
             return name
 
     async def remove_worker(self, name: str, shutdown: bool = False) -> int:

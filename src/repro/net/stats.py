@@ -1,4 +1,4 @@
-"""Gateway-side observability: counters, per-worker latency, fleet rollup.
+"""Gateway-side observability: counters and per-worker latency.
 
 :class:`GatewayStats` is the :class:`~repro.serving.stats.ServingStats`
 of the network layer — what the gateway itself did (requests in flight,
@@ -6,13 +6,11 @@ per-worker latency windows, retries, reconnects, timeouts), as opposed
 to what the workers did with the requests (their own ``ServingStats``,
 scraped over the wire).
 
-:func:`merge_worker_stats` is the cross-process half of
-:class:`~repro.cluster.stats.ClusterStats`: given each worker's exported
-stats view (the worker server's ``stats`` method), it sums the counters,
-recomputes the hit rate from summed hits/misses, and computes
-percentiles over the *merged* latency reservoirs — the same aggregation
-discipline the in-process cluster uses, so dashboards read one schema
-whether the fleet is threads or processes.
+The workers' views are rolled up by
+:func:`~repro.cluster.stats.merge_worker_stats`, the same function the
+in-process cluster's :class:`~repro.cluster.stats.ClusterStats` uses,
+so dashboards read one schema whether the fleet is threads or
+processes; it is re-exported here and from :mod:`repro.net`.
 """
 
 from __future__ import annotations
@@ -22,40 +20,35 @@ from collections import deque
 
 import numpy as np
 
+from repro.cluster.stats import merge_worker_stats
 from repro.exceptions import NetError
 
-__all__ = ["GatewayStats", "merge_worker_stats", "WORKER_SUMMED_COUNTERS"]
-
-#: The worker counters summed fleet-wide — the in-process cluster's list.
-WORKER_SUMMED_COUNTERS = (
-    "estimate_requests",
-    "batch_requests",
-    "predicates_served",
-    "cache_hits",
-    "cache_misses",
-    "observations",
-    "challenger_observations",
-    "refits_triggered",
-    "drift_refits_triggered",
-    "refits_completed",
-    "challenger_refits",
-    "promotions",
-    "sandwich_estimates",
-    "sandwich_learned",
-    "sandwich_independence",
-    "sandwich_upper_clamps",
-    "sandwich_lower_clamps",
-    "checkpoints_taken",
-    "checkpoint_restores",
-)
-
-_BUFFER_COUNTERS = (
-    "appended", "applied", "requeued", "dropped", "discarded", "pending",
-)
+__all__ = ["GatewayStats", "merge_worker_stats"]
 
 
 class GatewayStats:
     """Thread-safe counters and per-worker latency windows for a gateway."""
+
+    #: Every plain counter, declared once; :meth:`counters` derives from it.
+    COUNTERS = (
+        "requests",
+        "responses",
+        "errors",
+        "retries",
+        "reconnects",
+        "timeouts",
+        "in_flight",
+        "fanouts",
+        "migrations",
+        "degraded_estimates",
+        "breaker_opens",
+        "buffered_writes",
+        "buffered_writes_replayed",
+        "lost_writes",
+        "checkpoint_restores",
+        "health_failures",
+        "snapshot_decode_errors",
+    )
 
     def __init__(self, latency_window: int = 4096) -> None:
         if latency_window < 1:
@@ -64,22 +57,8 @@ class GatewayStats:
         self._latency_window = latency_window
         # worker name -> recent request round-trip seconds (gateway->worker).
         self._worker_latencies: dict[str, deque[float]] = {}
-        self.requests = 0
-        self.responses = 0
-        self.errors = 0
-        self.retries = 0
-        self.reconnects = 0
-        self.timeouts = 0
-        self.in_flight = 0
-        self.fanouts = 0
-        self.migrations = 0
-        self.degraded_estimates = 0
-        self.breaker_opens = 0
-        self.buffered_writes = 0
-        self.buffered_writes_replayed = 0
-        self.lost_writes = 0
-        self.checkpoint_restores = 0
-        self.health_failures = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     # ------------------------------------------------------------------
     # Recording
@@ -174,6 +153,12 @@ class GatewayStats:
         with self._lock:
             self.health_failures += 1
 
+    def record_snapshot_decode_error(self) -> None:
+        """A worker's snapshot payload could not be decoded, so the
+        degraded-read cache kept its previous entry for the key."""
+        with self._lock:
+            self.snapshot_decode_errors += 1
+
     def forget_worker(self, worker: str) -> None:
         """Drop a retired worker's latency window."""
         with self._lock:
@@ -209,24 +194,7 @@ class GatewayStats:
     def counters(self) -> dict[str, int]:
         """The plain gateway counters under one lock acquisition."""
         with self._lock:
-            return {
-                "requests": self.requests,
-                "responses": self.responses,
-                "errors": self.errors,
-                "retries": self.retries,
-                "reconnects": self.reconnects,
-                "timeouts": self.timeouts,
-                "in_flight": self.in_flight,
-                "fanouts": self.fanouts,
-                "migrations": self.migrations,
-                "degraded_estimates": self.degraded_estimates,
-                "breaker_opens": self.breaker_opens,
-                "buffered_writes": self.buffered_writes,
-                "buffered_writes_replayed": self.buffered_writes_replayed,
-                "lost_writes": self.lost_writes,
-                "checkpoint_restores": self.checkpoint_restores,
-                "health_failures": self.health_failures,
-            }
+            return {name: getattr(self, name) for name in self.COUNTERS}
 
     def snapshot(self) -> dict[str, object]:
         """Counters plus per-worker p50/p99 round-trip latency."""
@@ -257,54 +225,3 @@ class GatewayStats:
             f"retries={counters['retries']}, "
             f"reconnects={counters['reconnects']})"
         )
-
-
-def merge_worker_stats(
-    per_worker: dict[str, dict[str, object]],
-) -> dict[str, object]:
-    """Roll per-worker exported stats into one ClusterStats-shaped view.
-
-    ``per_worker`` maps worker name to the dict the worker server's
-    ``stats`` method returns: ``counters`` (ServingStats counters),
-    ``latencies`` (the latency reservoir), ``buffer`` (ObservationBuffer
-    counters), ``backend_error_windows`` and ``model_keys``.  The result
-    mirrors :meth:`repro.cluster.stats.ClusterStats.aggregate` — summed
-    counters, true hit rate, percentiles over merged reservoirs — so the
-    out-of-process fleet reads exactly like the in-process one.
-    """
-    totals: dict[str, float] = {name: 0 for name in WORKER_SUMMED_COUNTERS}
-    buffer_totals = dict.fromkeys(_BUFFER_COUNTERS, 0)
-    latencies: list[float] = []
-    merged_errors: dict[tuple[str, str], list[float]] = {}
-    model_keys = 0
-    for view in per_worker.values():
-        counters = view.get("counters", {})
-        for name in WORKER_SUMMED_COUNTERS:
-            totals[name] += counters.get(name, 0)
-        latencies.extend(view.get("latencies", ()))
-        for name, value in view.get("buffer", {}).items():
-            if name in buffer_totals:
-                buffer_totals[name] += value
-        for scope, window in view.get("backend_error_windows", {}).items():
-            merged_errors.setdefault(scope, []).extend(window)
-        model_keys += int(view.get("model_keys", 0))
-    lookups = totals["cache_hits"] + totals["cache_misses"]
-    totals["hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
-    merged = np.array(latencies) if latencies else None
-    totals["p50_latency_seconds"] = (
-        float(np.percentile(merged, 50.0)) if merged is not None else 0.0
-    )
-    totals["p99_latency_seconds"] = (
-        float(np.percentile(merged, 99.0)) if merged is not None else 0.0
-    )
-    for name, value in buffer_totals.items():
-        totals[f"observations_{name}"] = value
-    totals["shard_count"] = len(per_worker)
-    totals["model_keys"] = model_keys
-    backend_errors: dict[str, dict[str, float]] = {}
-    for (model, backend), window in merged_errors.items():
-        if window:
-            backend_errors.setdefault(model, {})[backend] = float(
-                sum(window) / len(window)
-            )
-    return {"aggregate": totals, "backend_errors": backend_errors}

@@ -35,7 +35,13 @@ from repro.estimators.backend import ServableModel
 from repro.exceptions import ServingError
 from repro.serving.snapshot import ModelSnapshot
 
-__all__ = ["ModelKey", "EstimatorRegistry", "SnapshotCell", "normalize_key"]
+__all__ = [
+    "ModelKey",
+    "EstimatorRegistry",
+    "SnapshotCell",
+    "normalize_key",
+    "group_by_key",
+]
 
 PublishListener = Callable[["ModelKey", ModelSnapshot], None]
 
@@ -92,6 +98,27 @@ def normalize_key(
             raise ServingError("pass columns via the ModelKey, not both")
         return table
     return ModelKey(table=table, columns=tuple(columns))
+
+
+def group_by_key(
+    pairs: Sequence[tuple["str | ModelKey", object]],
+) -> dict[ModelKey, tuple[list[int], list[object]]]:
+    """Split a mixed-key burst into per-key ``(indices, predicates)``.
+
+    One pass, one :func:`normalize_key` per pair; keys appear in
+    first-seen order and each key's indices ascend, so a caller writes
+    each group's estimates back with ``results[indices] = values``.
+    The plain service, the sharded cluster and the gateway all group
+    ``estimate_batch_mixed`` bursts through this.
+    """
+    groups: dict[ModelKey, tuple[list[int], list[object]]] = {}
+    for index, (table, predicate) in enumerate(pairs):
+        indices, predicates = groups.setdefault(
+            normalize_key(table), ([], [])
+        )
+        indices.append(index)
+        predicates.append(predicate)
+    return groups
 
 
 class EstimatorRegistry:

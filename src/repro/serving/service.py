@@ -65,6 +65,7 @@ from repro.serving.registry import (
     EstimatorRegistry,
     ModelKey,
     SnapshotCell,
+    group_by_key,
     normalize_key,
 )
 from repro.serving.scheduler import RefitScheduler
@@ -872,13 +873,7 @@ class SelectivityService:
         groups fanned out across shards.
         """
         results = np.empty(len(pairs))
-        groups: dict[ModelKey, tuple[list[int], list[PredicateLike]]] = {}
-        for index, (table, predicate) in enumerate(pairs):
-            key = self._key(table, ())
-            indices, predicates = groups.setdefault(key, ([], []))
-            indices.append(index)
-            predicates.append(predicate)
-        for key, (indices, predicates) in groups.items():
+        for key, (indices, predicates) in group_by_key(pairs).items():
             results[indices] = self.estimate_batch(key, predicates)
         return results
 

@@ -18,17 +18,54 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ServingError
 
-__all__ = ["ServingStats"]
+__all__ = ["ServingStats", "mean_backend_errors"]
+
+
+def mean_backend_errors(
+    windows: Mapping[tuple[str, str], Sequence[float]],
+) -> dict[str, dict[str, float]]:
+    """``{model key: {backend: mean |error|}}`` over non-empty windows."""
+    view: dict[str, dict[str, float]] = {}
+    for (model, backend), window in windows.items():
+        if window:
+            view.setdefault(model, {})[backend] = float(sum(window) / len(window))
+    return view
 
 
 class ServingStats:
     """Counters and latency percentiles for a :class:`SelectivityService`."""
+
+    #: Every plain counter, declared once: :meth:`counters` and the fleet
+    #: rollup (:func:`~repro.cluster.stats.merge_worker_stats`) derive
+    #: from this, so a counter added here is summed fleet-wide unchanged.
+    COUNTERS = (
+        "estimate_requests",
+        "batch_requests",
+        "predicates_served",
+        "cache_hits",
+        "cache_misses",
+        "observations",
+        "challenger_observations",
+        "refits_triggered",
+        "drift_refits_triggered",
+        "refits_completed",
+        "challenger_refits",
+        "promotions",
+        "sandwich_estimates",
+        "sandwich_learned",
+        "sandwich_independence",
+        "sandwich_upper_clamps",
+        "sandwich_lower_clamps",
+        "checkpoints_taken",
+        "checkpoint_restores",
+        "checkpoint_failures",
+    )
 
     def __init__(
         self, latency_window: int = 4096, backend_error_window: int = 512
@@ -47,25 +84,8 @@ class ServingStats:
         # relative drift (shift) trigger.  Unlike the bounded windows
         # above these never forget (except on hand-off/unregister).
         self._lifetime_errors: dict[tuple[str, str], list[float]] = {}
-        self.estimate_requests = 0
-        self.batch_requests = 0
-        self.predicates_served = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.observations = 0
-        self.challenger_observations = 0
-        self.refits_triggered = 0
-        self.drift_refits_triggered = 0
-        self.refits_completed = 0
-        self.challenger_refits = 0
-        self.promotions = 0
-        self.sandwich_estimates = 0
-        self.sandwich_learned = 0
-        self.sandwich_independence = 0
-        self.sandwich_upper_clamps = 0
-        self.sandwich_lower_clamps = 0
-        self.checkpoints_taken = 0
-        self.checkpoint_restores = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     # ------------------------------------------------------------------
     # Recording
@@ -215,6 +235,11 @@ class ServingStats:
         with self._lock:
             self.checkpoint_restores += 1
 
+    def record_checkpoint_failure(self) -> None:
+        """A checkpoint that should have been written was not."""
+        with self._lock:
+            self.checkpoint_failures += 1
+
     def record_sandwich(self, source: str, clamped: str | None) -> None:
         """One sandwiched join estimate was served.
 
@@ -290,13 +315,7 @@ class ServingStats:
         recent error window.  Keys with no recorded errors are absent.
         """
         with self._lock:
-            view: dict[str, dict[str, float]] = {}
-            for (model, backend), window in self._backend_errors.items():
-                if window:
-                    view.setdefault(model, {})[backend] = float(
-                        sum(window) / len(window)
-                    )
-            return view
+            return mean_backend_errors(self._backend_errors)
 
     def backend_error_windows(self) -> dict[tuple[str, str], tuple[float, ...]]:
         """The raw per-(key, backend) error windows, oldest first.
@@ -371,27 +390,7 @@ class ServingStats:
         avoid touching the latency reservoir at all.
         """
         with self._lock:
-            return {
-                "estimate_requests": self.estimate_requests,
-                "batch_requests": self.batch_requests,
-                "predicates_served": self.predicates_served,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "observations": self.observations,
-                "challenger_observations": self.challenger_observations,
-                "refits_triggered": self.refits_triggered,
-                "drift_refits_triggered": self.drift_refits_triggered,
-                "refits_completed": self.refits_completed,
-                "challenger_refits": self.challenger_refits,
-                "promotions": self.promotions,
-                "sandwich_estimates": self.sandwich_estimates,
-                "sandwich_learned": self.sandwich_learned,
-                "sandwich_independence": self.sandwich_independence,
-                "sandwich_upper_clamps": self.sandwich_upper_clamps,
-                "sandwich_lower_clamps": self.sandwich_lower_clamps,
-                "checkpoints_taken": self.checkpoints_taken,
-                "checkpoint_restores": self.checkpoint_restores,
-            }
+            return {name: getattr(self, name) for name in self.COUNTERS}
 
     def snapshot(self) -> dict[str, object]:
         """A plain-dict view of every counter plus derived metrics.

@@ -340,27 +340,6 @@ class TestShardedServingParity:
         finally:
             cluster.close()
 
-    def test_sequential_fanout_matches_threaded(self, cluster_world, make_cluster, register_tables):
-        dataset, base, probes, _ = cluster_world
-        threaded = make_cluster(4)
-        sequential = make_cluster(4, fanout_threads=False)
-        register_tables(threaded, base, TABLES)
-        register_tables(sequential, base, TABLES)
-        try:
-            pairs = [
-                (TABLES[index % len(TABLES)], predicate)
-                for index, predicate in enumerate(probes)
-            ]
-            np.testing.assert_allclose(
-                threaded.estimate_batch_mixed(pairs),
-                sequential.estimate_batch_mixed(pairs),
-                rtol=0,
-                atol=0,
-            )
-        finally:
-            threaded.close()
-            sequential.close()
-
     def test_empty_mixed_batch(self, cluster_world, make_cluster):
         _, base, _, _ = cluster_world
         cluster = make_cluster(2)
@@ -902,7 +881,7 @@ class TestDrainBudget:
 
     def _cluster_with_recording_drains(self, monkeypatch, sleep_seconds):
         cluster = ShardedSelectivityService(
-            num_shards=3, scheduler_mode="inline", fanout_threads=False
+            num_shards=3, scheduler_mode="inline"
         )
         received: list[float | None] = []
         for shard_id in cluster.shard_ids:

@@ -312,6 +312,28 @@ class TestWorkerCheckpointing:
         finally:
             respawn.close()
 
+    def test_failed_close_checkpoint_is_counted(self, tmp_path, workload):
+        _, feedback, _, trainer = workload
+
+        class FailingStore(CheckpointStore):
+            def save(self, bundle):
+                raise OSError("disk full")
+
+        server = WorkerServer(
+            shard_id="w1",
+            checkpoint_dir=str(tmp_path / "w1"),
+            checkpoint_every=10_000,
+        )
+        server.start()
+        client = connect("127.0.0.1", server.port)
+        client.register_model("orders", copy.deepcopy(trainer))
+        client.observe("orders", *feedback[0])
+        client.close()
+        server._checkpoints = FailingStore(tmp_path / "w1")
+        server.close()  # the dirty key's save fails; close still completes
+        assert server.wait(0)
+        assert server.worker.stats.counters()["checkpoint_failures"] == 1
+
     def test_unregister_discards_durable_state(self, tmp_path, workload):
         _, _, _, trainer = workload
         ckpt = str(tmp_path / "w1")

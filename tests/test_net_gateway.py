@@ -339,6 +339,23 @@ class TestGatewayServing:
         _, _, client = fleet
         assert client.estimate_batch_mixed([]).shape == (0,)
 
+    @pytest.mark.parametrize("method", ["snapshot_for", "refit_now"])
+    def test_undecodable_snapshot_is_counted_not_raised(
+        self, fleet, workload, monkeypatch, method
+    ):
+        _, _, _, trainers = workload
+        workers, gateway_server, client = fleet
+        key = client.register_model("orders", copy.deepcopy(trainers["orders"]))
+        owner = workers[gateway_server.gateway.router.route(key)]
+        monkeypatch.setattr(
+            owner, f"_do_{method}", lambda table, columns=(): b"not a snapshot"
+        )
+        # The caller still receives the payload the worker sent.
+        assert client._call(method, {"table": key}) == b"not a snapshot"
+        stats = client.fleet_stats()["gateway"]
+        assert stats["snapshot_decode_errors"] == 1
+        assert stats["errors"] == 0
+
 
 class TestGatewayMembership:
     def test_add_worker_migrates_with_snapshot_parity(self, fleet, workload):

@@ -16,6 +16,7 @@ Covers the contracts the serving layer makes:
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -160,6 +161,9 @@ class TestRegistry:
                 value = snapshot.estimate(probe)
                 if not (0.0 <= value <= 1.0):
                     errors.append(f"broken snapshot served {value}")
+                # Yield the GIL each pass so four spinning readers cannot
+                # starve the publisher they are racing.
+                time.sleep(0)
 
         readers = [threading.Thread(target=reader) for _ in range(4)]
         writer = threading.Thread(target=publisher)
