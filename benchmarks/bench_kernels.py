@@ -5,9 +5,10 @@ Measures the claims the ``repro.kernels`` package and the
 
 1. **Kernel parity** — the NumPy intersection-volume kernel matches a
    brute-force per-pair loop to <= 1e-12 on a random box workload.
-2. **Steady-state allocation** — the arena-backed batch path does not
-   grow memory across repeated ``estimate_from_bounds`` calls: all
-   temporaries live in reused thread-local arena buffers.
+2. **Steady-state allocation** — the batch path does not grow memory
+   across repeated ``estimate_from_bounds`` calls: the per-axis kernels
+   allocate a few ``(n, m)`` temporaries per call and free them all
+   before it returns.
 3. **Served latency** — a :class:`FastSlot` burst (slot resolved once,
    snapshot read lock-free, stats flushed in bulk, snapshot-scoped
    predicate memo) answers repeated single-predicate requests >= 3x
@@ -116,7 +117,7 @@ def run_kernel_parity(rows: int, cols: int, dimension: int = 3) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 2. Steady-state allocation guard for the arena batch path
+# 2. Steady-state allocation guard for the batch path
 # ----------------------------------------------------------------------
 def run_flat_memory_guard(probe_queries: int = 200) -> dict:
     """Repeated estimate_batch calls must not grow traced memory."""
@@ -127,7 +128,7 @@ def run_flat_memory_guard(probe_queries: int = 200) -> dict:
     model.observe_many(feedback, refit=True)
     probes = generator.generate(probe_queries)
 
-    # Warm up: arena buffers grow to workload size, caches fill.
+    # Warm up: caches fill.
     for _ in range(3):
         model.estimate_many(probes)
 
@@ -147,7 +148,7 @@ def run_flat_memory_guard(probe_queries: int = 200) -> dict:
     }
     assert growth <= MAX_STEADY_STATE_GROWTH_BYTES, (
         f"batch path grew {growth} bytes over {window} warm calls — "
-        "per-call temporaries are escaping the arena"
+        "per-call temporaries are outliving their call"
     )
     return results
 
@@ -194,7 +195,7 @@ def run_fast_path_benchmark(
         stats.record_estimate(time.perf_counter() - start, hit)
         return value
 
-    # Warm every path (cache entries, slot memo, arena buffers).
+    # Warm every path (cache entries, slot memo).
     for predicate in probes:
         service.estimate("bench", predicate)
     slot = service.fast_slot("bench", flush_every=64)

@@ -25,7 +25,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import GeometryError
-from repro.kernels import intersection_volumes as _intersection_volumes_kernel
+from repro.kernels import intersection_volumes
 
 __all__ = [
     "Interval",
@@ -34,7 +34,6 @@ __all__ = [
     "pairwise_intersection_volumes",
     "cross_intersection_volumes",
     "stack_bounds",
-    "intersection_volumes_from_bounds",
 ]
 
 
@@ -423,33 +422,14 @@ def stack_bounds(boxes: Sequence[Hyperrectangle]) -> tuple[np.ndarray, np.ndarra
     Callers that evaluate many intersection queries against a *fixed* set
     of boxes (e.g. a trained mixture model's subpopulations) should stack
     once and reuse the arrays with
-    :func:`intersection_volumes_from_bounds`, skipping the per-call Python
-    loop over box objects.
+    :func:`repro.kernels.intersection_volumes`, skipping the per-call
+    Python loop over box objects.
     """
     if not boxes:
         return np.empty((0, 0)), np.empty((0, 0))
     lower = np.stack([box.lower for box in boxes])
     upper = np.stack([box.upper for box in boxes])
     return lower, upper
-
-
-def intersection_volumes_from_bounds(
-    row_lower: np.ndarray,
-    row_upper: np.ndarray,
-    col_lower: np.ndarray,
-    col_upper: np.ndarray,
-) -> np.ndarray:
-    """Intersection-volume matrix from pre-stacked ``(n, d)``/``(m, d)`` bounds.
-
-    The raw-array form of :func:`cross_intersection_volumes`; it is the
-    batched-estimation hot path, where the column side (the model's
-    subpopulations) is stacked once at model construction and the row side
-    (predicate boxes) once per batch.  Evaluation happens in
-    :func:`repro.kernels.intersection_volumes`.
-    """
-    return _intersection_volumes_kernel(
-        row_lower, row_upper, col_lower, col_upper
-    )
 
 
 def pairwise_intersection_volumes(boxes: Sequence[Hyperrectangle]) -> np.ndarray:
@@ -462,7 +442,7 @@ def pairwise_intersection_volumes(boxes: Sequence[Hyperrectangle]) -> np.ndarray
     lower, upper = stack_bounds(boxes)
     if lower.size == 0:
         return np.zeros((0, 0))
-    return intersection_volumes_from_bounds(lower, upper, lower, upper)
+    return intersection_volumes(lower, upper, lower, upper)
 
 
 def cross_intersection_volumes(
@@ -477,6 +457,4 @@ def cross_intersection_volumes(
     col_lower, col_upper = stack_bounds(cols)
     if row_lower.size == 0 or col_lower.size == 0:
         return np.zeros((len(rows), len(cols)))
-    return intersection_volumes_from_bounds(
-        row_lower, row_upper, col_lower, col_upper
-    )
+    return intersection_volumes(row_lower, row_upper, col_lower, col_upper)

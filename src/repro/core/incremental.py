@@ -79,7 +79,7 @@ from repro.core.training import (
     validate_warm_start,
 )
 from repro.exceptions import SolverError, TrainingError
-from repro.kernels import decay_weights_into, get_arena
+from repro.kernels import decay_weights
 from repro.solvers.linalg import CachedCholesky, regularized_solve, symmetrize
 from repro.solvers.projected_gradient import solve_projected_gradient
 from repro.solvers.scipy_qp import solve_constrained_qp
@@ -701,15 +701,10 @@ class IncrementalTrainer:
         s = self._s.array
         if self._config.window_policy != "decayed":
             return A, s
-        births = self._births.array
-        arena = get_arena()
-        ages = arena.request("incremental.ages", births.shape)
-        np.subtract(float(self._observed_latest - 1), births, out=ages)
-        scale = arena.request("incremental.scale", births.shape)
-        decay_weights_into(
-            ages, float(self._config.decay_half_life), scale
+        ages = float(self._observed_latest - 1) - self._births.array
+        scale = np.sqrt(
+            decay_weights(ages, float(self._config.decay_half_life))
         )
-        np.sqrt(scale, out=scale)
         pinned = self._A.pinned
         A = A.copy()
         A[pinned:] *= scale[:, None]

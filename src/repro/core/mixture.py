@@ -7,10 +7,13 @@ A :class:`UniformMixtureModel` approximates the joint data density as
 
 ``ŝ(B) = Σ_z w_z · |G_z ∩ B| / |G_z|``  (Section 3.2),
 
-which only needs box-intersection volumes.  The model is a passive value
-object: it does not know how its weights were obtained (that is the
-training module's job), which mirrors the paper's separation between
-model definition (Section 3) and model training (Section 4).
+which only needs box-intersection volumes: a single box is one
+:func:`repro.kernels.intersection_volumes` row, and a batch is one
+:func:`repro.kernels.weighted_overlap_estimates` call over all its
+predicate pieces.  The model is a passive value object: it does not
+know how its weights were obtained (that is the training module's job),
+which mirrors the paper's separation between model definition
+(Section 3) and model training (Section 4).
 """
 
 from __future__ import annotations
@@ -20,20 +23,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.geometry import (
-    Hyperrectangle,
-    intersection_volumes_from_bounds,
-    stack_bounds,
-)
+from repro.core.geometry import Hyperrectangle, stack_bounds
 from repro.core.region import Region
 from repro.core.subpopulation import Subpopulation
 from repro.exceptions import TrainingError
-from repro.kernels import (
-    get_arena,
-    owners_array,
-    stack_pieces,
-    weighted_overlap_estimates_into,
-)
+from repro.kernels import intersection_volumes, weighted_overlap_estimates
 
 __all__ = ["UniformMixtureModel"]
 
@@ -73,9 +67,6 @@ class UniformMixtureModel:
         self._weights.setflags(write=False)
         # The weight/volume ratio each overlap volume is dotted with.
         self._weight_over_volume = self._weights / self._volumes
-        # float32 twins of the stacked geometry, built lazily on the
-        # first reduced-precision batch call (see estimate_from_bounds).
-        self._components_f32: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Properties
@@ -130,7 +121,7 @@ class UniformMixtureModel:
 
     def selectivity_of_box(self, box: Hyperrectangle) -> float:
         """Estimated selectivity of a single-box predicate."""
-        overlaps = intersection_volumes_from_bounds(
+        overlaps = intersection_volumes(
             box.lower[None, :],
             box.upper[None, :],
             self._component_lower,
@@ -166,12 +157,11 @@ class UniformMixtureModel:
         pieces (a box contributes itself; a region contributes its
         disjoint boxes) are stacked into one ``(P, d)`` array and hit the
         component boxes with a single
-        :func:`~repro.core.geometry.intersection_volumes_from_bounds`
-        kernel call; per-piece estimates are then summed back to their
-        owning predicate with ``np.bincount``.  Elementwise the result
-        equals :meth:`estimate` (same kernel, same clipping), but the
-        Python/dispatch overhead is paid once per batch instead of once
-        per predicate.
+        :func:`~repro.kernels.weighted_overlap_estimates` kernel call,
+        which sums per-piece estimates back to their owning predicate.
+        Elementwise the result equals :meth:`estimate` (same kernel, same
+        clipping), but the Python/dispatch overhead is paid once per
+        batch instead of once per predicate.
         """
         if len(targets) == 0:
             return np.zeros(0)
@@ -199,7 +189,6 @@ class UniformMixtureModel:
         piece_upper: Sequence[np.ndarray],
         owners: Sequence[int],
         count: int,
-        dtype: object = None,
     ) -> np.ndarray:
         """Batched estimation from raw predicate-piece bounds.
 
@@ -211,53 +200,18 @@ class UniformMixtureModel:
         straight to bounds (see
         :meth:`repro.core.quicksel.QuickSel.estimate_many`) skip
         :class:`Hyperrectangle`/:class:`Region` construction entirely.
-
-        All scratch comes from the calling thread's
-        :class:`~repro.kernels.arena.KernelArena`, so a warm batch call
-        allocates only the returned ``(count,)`` result.  ``dtype=
-        numpy.float32`` selects the reduced-precision variant (halved
-        kernel bandwidth, parity ≤1e-6); the default is full float64.
+        The pieces are stacked once and evaluated in one
+        :func:`~repro.kernels.weighted_overlap_estimates` call.
         """
-        if not len(owners):
-            return np.zeros(count)
-        arena = get_arena()
-        if dtype is None or np.dtype(dtype) == np.float64:
-            work_dtype = np.float64
-            col_lower = self._component_lower
-            col_upper = self._component_upper
-            weight_over_volume = self._weight_over_volume
-        else:
-            work_dtype = np.dtype(dtype)
-            if self._components_f32 is None:
-                self._components_f32 = (
-                    self._component_lower.astype(np.float32),
-                    self._component_upper.astype(np.float32),
-                    self._weight_over_volume.astype(np.float32),
-                )
-            col_lower, col_upper, weight_over_volume = self._components_f32
-        rows_lower = stack_pieces(piece_lower, "kernels.rows_lower", arena, work_dtype)
-        rows_upper = stack_pieces(piece_upper, "kernels.rows_upper", arena, work_dtype)
-        owner_view, identity = owners_array(
-            owners, count, "kernels.owners", arena
+        return weighted_overlap_estimates(
+            np.array(piece_lower),
+            np.array(piece_upper),
+            owners,
+            count,
+            self._component_lower,
+            self._component_upper,
+            self._weight_over_volume,
         )
-        pieces, components = rows_lower.shape[0], col_lower.shape[0]
-        width = rows_lower.shape[1] if pieces else 0
-        out = np.zeros(count, dtype=work_dtype)
-        weighted_overlap_estimates_into(
-            rows_lower,
-            rows_upper,
-            owner_view,
-            col_lower,
-            col_upper,
-            weight_over_volume,
-            arena.request("kernels.scratch_a", (pieces, components, width), work_dtype),
-            arena.request("kernels.scratch_b", (pieces, components, width), work_dtype),
-            arena.request("kernels.overlaps", (pieces, components), work_dtype),
-            arena.request("kernels.per_piece", (pieces,), work_dtype),
-            out,
-            owners_identity=identity,
-        )
-        return out
 
     # ------------------------------------------------------------------
     # Transformations

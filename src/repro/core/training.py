@@ -27,14 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.geometry import (
-    Hyperrectangle,
-    intersection_volumes_from_bounds,
-    stack_bounds,
-)
+from repro.core.geometry import Hyperrectangle, stack_bounds
 from repro.core.region import Region
 from repro.core.subpopulation import Subpopulation
 from repro.exceptions import TrainingError
+from repro.kernels import intersection_volumes
 from repro.solvers.analytic import solve_penalized_qp
 from repro.solvers.projected_gradient import solve_projected_gradient
 from repro.solvers.scipy_qp import solve_constrained_qp
@@ -132,7 +129,7 @@ def build_problem(
     # Stack the subpopulation bounds once; the Q matrix, the default-query
     # containment check, and every single-box A row reuse the same arrays.
     col_lower, col_upper = stack_bounds(boxes)
-    overlap = intersection_volumes_from_bounds(
+    overlap = intersection_volumes(
         col_lower, col_upper, col_lower, col_upper
     )
     Q = overlap / np.outer(volumes, volumes)
@@ -183,7 +180,7 @@ def assemble_query_rows(
             rows[index] = query.region.intersection_volumes(boxes) / volumes
     if single_boxes:
         row_lower, row_upper = stack_bounds(single_boxes)
-        overlaps = intersection_volumes_from_bounds(
+        overlaps = intersection_volumes(
             row_lower, row_upper, col_lower, col_upper
         )
         rows[np.array(single_rows)] = overlaps / volumes
@@ -210,7 +207,7 @@ def default_query_row(
     if contained:
         return np.ones(volumes.shape[0])
     domain_lower, domain_upper = stack_bounds([domain])
-    overlap = intersection_volumes_from_bounds(
+    overlap = intersection_volumes(
         domain_lower, domain_upper, col_lower, col_upper
     )[0]
     return overlap / volumes

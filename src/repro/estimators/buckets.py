@@ -10,7 +10,11 @@ each observed predicate — the invariant iterative scaling relies on
 the number of observed queries (Limitation 1 in Section 2.3).
 
 This module provides the bucket container and the drilling primitive; the
-individual estimators decide how frequencies are (re)assigned.
+individual estimators decide how frequencies are (re)assigned.  Batch
+estimation is the mixture model's kernel:
+:meth:`BucketSet.estimate_from_bounds` is one
+:func:`repro.kernels.weighted_overlap_estimates` call with
+``frequency/volume`` as the component weights.
 """
 
 from __future__ import annotations
@@ -28,12 +32,7 @@ from repro.core.geometry import (
 from repro.core.predicate import lower_batch
 from repro.core.region import Region
 from repro.exceptions import EstimatorError
-from repro.kernels import (
-    get_arena,
-    owners_array,
-    stack_pieces,
-    weighted_overlap_estimates_into,
-)
+from repro.kernels import weighted_overlap_estimates
 
 __all__ = ["Bucket", "BucketSet", "BucketBatchEstimation", "drill"]
 
@@ -163,65 +162,30 @@ class BucketSet:
         piece_upper: Sequence[np.ndarray],
         owners: Sequence[int],
         count: int,
-        dtype: object = None,
     ) -> np.ndarray:
         """Batched estimation from raw predicate-piece bounds.
 
         Same contract as :meth:`repro.core.mixture.UniformMixtureModel.
         estimate_from_bounds`: one ``(d,)`` corner pair per disjoint
         predicate piece, ``owners[i]`` naming the owning predicate, and
-        one shared :func:`~repro.kernels.weighted_overlap_estimates_into`
+        one shared :func:`~repro.kernels.weighted_overlap_estimates`
         call for the whole batch — a bucket histogram is the same kernel
         as a mixture model with ``frequency/volume`` standing in for
         ``weight/volume``.  Elementwise equal to :meth:`estimate_region`
-        per predicate, clipped to ``[0, 1]``.  Scratch comes from the
-        calling thread's arena; a warm call allocates only the returned
-        ``(count,)`` result.
+        per predicate, clipped to ``[0, 1]``.
         """
-        if not len(owners) or not self.buckets:
+        if not self.buckets:
             return np.zeros(count)
         bucket_lower, bucket_upper, volumes = self._stacked_geometry()
-        freq_over_volume = self._frequency_over_volume(volumes)
-        arena = get_arena()
-        if dtype is None or np.dtype(dtype) == np.float64:
-            work_dtype = np.float64
-            col_lower, col_upper = bucket_lower, bucket_upper
-            weights = freq_over_volume
-        else:
-            work_dtype = np.dtype(dtype)
-            col_lower = arena.request(
-                "kernels.col_lower", bucket_lower.shape, work_dtype
-            )
-            col_lower[...] = bucket_lower
-            col_upper = arena.request(
-                "kernels.col_upper", bucket_upper.shape, work_dtype
-            )
-            col_upper[...] = bucket_upper
-            weights = arena.request(
-                "kernels.col_weights", freq_over_volume.shape, work_dtype
-            )
-            weights[...] = freq_over_volume
-        rows_lower = stack_pieces(piece_lower, "kernels.rows_lower", arena, work_dtype)
-        rows_upper = stack_pieces(piece_upper, "kernels.rows_upper", arena, work_dtype)
-        owner_view, identity = owners_array(owners, count, "kernels.owners", arena)
-        pieces, components = rows_lower.shape[0], col_lower.shape[0]
-        width = rows_lower.shape[1] if pieces else 0
-        out = np.zeros(count, dtype=work_dtype)
-        weighted_overlap_estimates_into(
-            rows_lower,
-            rows_upper,
-            owner_view,
-            col_lower,
-            col_upper,
-            weights,
-            arena.request("kernels.scratch_a", (pieces, components, width), work_dtype),
-            arena.request("kernels.scratch_b", (pieces, components, width), work_dtype),
-            arena.request("kernels.overlaps", (pieces, components), work_dtype),
-            arena.request("kernels.per_piece", (pieces,), work_dtype),
-            out,
-            owners_identity=identity,
+        return weighted_overlap_estimates(
+            np.array(piece_lower),
+            np.array(piece_upper),
+            owners,
+            count,
+            bucket_lower,
+            bucket_upper,
+            self._frequency_over_volume(volumes),
         )
-        return out
 
     def _stacked_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached ``(lower, upper, volumes)`` stacks of the bucket boxes.
@@ -314,11 +278,10 @@ class BucketBatchEstimation:
         piece_upper: Sequence[np.ndarray],
         owners: Sequence[int],
         count: int,
-        dtype: object = None,
     ) -> np.ndarray:
         """Raw-bounds batch surface (the serving snapshot's fast path)."""
         return self._buckets.estimate_from_bounds(
-            piece_lower, piece_upper, owners, count, dtype=dtype
+            piece_lower, piece_upper, owners, count
         )
 
 

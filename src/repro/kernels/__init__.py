@@ -7,20 +7,15 @@ its math time in (ROADMAP item 2):
   behind ``A``/``Q`` assembly and every batched estimate,
 * :func:`weighted_overlap_estimates` — the shared estimation kernel:
   piece overlaps dotted with per-component ``weight/volume`` and summed
-  back to owning predicates (mixture models *and* bucket histograms
-  reduce to exactly this form), and
+  back to owning predicates (mixture models, bucket histograms and the
+  bootstrap snapshot all reduce to exactly this form), and
 * :func:`decay_weights` — exponential row decay for windowed training.
 
-There is one backend, broadcasting NumPy (see
+There is one backend, per-axis NumPy (see
 :mod:`repro.kernels._reference`); :func:`backend_report` names it and
-the NumPy version for benchmark records.
-
-Every kernel has an ``*_into`` variant writing only into caller-owned
-buffers (see :class:`~repro.kernels.arena.KernelArena` /
-:func:`~repro.kernels.arena.get_arena`): with warm buffers a call makes
-zero NumPy heap allocations.  All kernels accept float32 arrays for the
-halved-bandwidth batch variant; they match a brute-force per-pair loop
-to ≤1e-12 (float64) and ≤1e-6 (float32), property-tested in
+the NumPy version for benchmark records.  The kernels allocate their
+results and a few ``(n, m)`` temporaries per call; they match a
+brute-force per-pair loop to ≤1e-12, property-tested in
 ``tests/test_kernels.py``.
 """
 
@@ -30,86 +25,27 @@ import numpy as np
 
 from repro.kernels._reference import (
     decay_weights,
-    decay_weights_into,
     intersection_volumes,
-    intersection_volumes_into,
     weighted_overlap_estimates,
-    weighted_overlap_estimates_into,
 )
-from repro.kernels.arena import KernelArena, get_arena
 
 __all__ = [
     "backend_report",
     "intersection_volumes",
-    "intersection_volumes_into",
     "weighted_overlap_estimates",
-    "weighted_overlap_estimates_into",
     "decay_weights",
-    "decay_weights_into",
-    "stack_pieces",
-    "owners_array",
-    "KernelArena",
-    "get_arena",
 ]
+
+# Old names, kept only because perfbench/tracer.py still looks them up.
+intersection_volumes_into = intersection_volumes
+weighted_overlap_estimates_into = weighted_overlap_estimates
+decay_weights_into = decay_weights
 
 
 def backend_report() -> dict[str, str]:
     """The kernel backend and library version, for benchmark records."""
     return {
         "backend": "numpy",
-        "reason": "NumPy broadcasting kernels (the only backend)",
+        "reason": "NumPy per-axis kernels (the only backend)",
         "numpy": np.__version__,
     }
-
-
-def stack_pieces(
-    pieces: "list[np.ndarray] | tuple[np.ndarray, ...]",
-    name: str,
-    arena: KernelArena,
-    dtype: object = np.float64,
-) -> np.ndarray:
-    """Copy a list of ``(d,)`` corner vectors into an arena ``(n, d)`` view.
-
-    The arena-backed replacement for the per-call ``np.stack`` on the
-    batch path: with a warm arena no heap allocation happens, only the
-    unavoidable row copies.
-    """
-    n = len(pieces)
-    d = pieces[0].shape[0] if n else 0
-    view = arena.request(name, (n, d), dtype)
-    if n:
-        np.stack(pieces, out=view)
-    return view
-
-
-def owners_array(
-    owners: "list[int] | np.ndarray",
-    count: int,
-    name: str,
-    arena: KernelArena,
-) -> tuple[np.ndarray, bool]:
-    """Arena-backed ``intp`` owners plus an is-identity certificate.
-
-    Returns ``(owners_view, identity)`` where ``identity`` is True iff
-    ``owners`` is exactly ``0..count-1`` — the common all-single-piece
-    batch, which lets the kernels skip the scatter-add.  The check is
-    vectorised against a lazily grown iota buffer and allocates nothing
-    when the arena is warm.
-    """
-    n = len(owners)
-    view = arena.request(name, (n,), np.intp)
-    view[:] = owners
-    if n != count:
-        return view, False
-    if n == 0:
-        return view, True
-    if view[0] != 0:
-        return view, False
-    if n == 1:
-        return view, True
-    # Identity iff it starts at 0 and every step is exactly +1.
-    steps = arena.request("kernels.owners.steps", (n - 1,), np.intp)
-    np.subtract(view[1:], view[:-1], out=steps)
-    flags = arena.request("kernels.owners.flags", (n - 1,), np.bool_)
-    np.equal(steps, 1, out=flags)
-    return view, bool(flags.all())

@@ -222,13 +222,10 @@ class FleetSupervisor:
             return events
         if process is not None:
             # Newly observed death: reap it and schedule the respawn.
+            # ``last_error`` then holds this death's errors (reap,
+            # respawn, repoint) until the next one.
             entry.last_exitcode = getattr(process, "exitcode", None)
-            join = getattr(process, "join", None)
-            if join is not None:
-                try:
-                    join(0)
-                except Exception:
-                    pass
+            entry.last_error = None
             entry.process = None
             entry.failures += 1
             events.append(self._emit({
@@ -237,6 +234,17 @@ class FleetSupervisor:
                 "failures": entry.failures,
                 "exitcode": entry.last_exitcode,
             }))
+            join = getattr(process, "join", None)
+            if join is not None:
+                try:
+                    join(0)
+                except Exception as error:
+                    entry.last_error = repr(error)
+                    events.append(self._emit({
+                        "event": "reap_failed",
+                        "worker": entry.name,
+                        "error": repr(error),
+                    }))
             if entry.failures > self._max_restarts:
                 entry.given_up = True
                 events.append(self._emit({
@@ -303,7 +311,6 @@ class FleetSupervisor:
                 "error": repr(error),
             }))
             return events
-        entry.last_error = None
         events.append(self._emit({
             "event": "respawned",
             "worker": entry.name,

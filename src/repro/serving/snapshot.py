@@ -24,7 +24,10 @@ scalar path.
 Version 0 is the *bootstrap* snapshot: no model yet, so estimates fall
 back to the uniform distribution over the domain (the predicate's volume
 fraction), matching QuickSel's documented initial state with only the
-default query ``(P_0, 1)``.
+default query ``(P_0, 1)``.  That prior is a one-component mixture — the
+domain weighted by ``1/volume`` — so it runs through the same
+:func:`~repro.kernels.weighted_overlap_estimates` kernel as trained
+models.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ import time
 
 import numpy as np
 
-from repro.core.geometry import Hyperrectangle, intersection_volumes_from_bounds
+from repro.core.geometry import Hyperrectangle
 from repro.core.predicate import Predicate, lower_batch
 from repro.core.region import Region
 from repro.estimators.backend import ServableModel
 from repro.exceptions import ServingError
+from repro.kernels import weighted_overlap_estimates
 
 __all__ = ["ModelSnapshot"]
 
@@ -111,26 +115,22 @@ class ModelSnapshot:
             return np.asarray(
                 model.estimate_many(list(predicates)), dtype=float
             )
-        piece_lower, piece_upper, owners = lower_batch(predicates, self.domain)
         domain_volume = self.domain.volume
         if domain_volume <= 0.0:
             raise ServingError("cannot serve a zero-volume domain")
-        estimates = np.zeros(len(predicates))
-        if owners:
-            # Region pieces arrive unclipped from lower_batch; only the
-            # part inside the domain carries probability mass.
-            volumes = intersection_volumes_from_bounds(
-                np.stack(piece_lower),
-                np.stack(piece_upper),
-                self.domain.lower[None, :],
-                self.domain.upper[None, :],
-            )[:, 0]
-            estimates = np.bincount(
-                np.asarray(owners, dtype=np.intp),
-                weights=volumes / domain_volume,
-                minlength=len(predicates),
-            )
-        return np.clip(estimates, 0.0, 1.0)
+        # The uniform prior is a one-component mixture: the domain itself,
+        # weighted by 1/volume.  Region pieces arrive unclipped from
+        # lower_batch; the kernel counts only the part inside the domain.
+        piece_lower, piece_upper, owners = lower_batch(predicates, self.domain)
+        return weighted_overlap_estimates(
+            np.array(piece_lower),
+            np.array(piece_upper),
+            owners,
+            len(predicates),
+            self.domain.lower[None, :],
+            self.domain.upper[None, :],
+            np.array([1.0 / domain_volume]),
+        )
 
     def __repr__(self) -> str:
         kind = "bootstrap" if self.is_bootstrap else "trained"

@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import ShardedSelectivityService
 from repro.core.geometry import Hyperrectangle
 from repro.core.predicate import box_predicate
+from repro.experiments.table3 import run_table3
 from repro.serving import RefitScheduler, SelectivityService
 from repro.workloads.synthetic import gaussian_dataset
 
@@ -24,6 +25,12 @@ def unit_square() -> Hyperrectangle:
 def unit_cube_3d() -> Hyperrectangle:
     """The 3-D unit cube domain."""
     return Hyperrectangle.unit(3)
+
+
+@pytest.fixture(scope="session")
+def table3_small():
+    """One small Table 3 run, shared by the experiment and CLI tests."""
+    return run_table3(scale="small", row_count=5000, test_queries=20)
 
 
 @pytest.fixture

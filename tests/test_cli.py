@@ -40,8 +40,16 @@ class TestMain:
         captured = capsys.readouterr()
         assert "Figure 6" in captured.out
 
-    def test_table3_report(self):
+    def test_table3_report(self, monkeypatch, table3_small):
+        calls = []
+
+        def run_table3(scale, row_count):
+            calls.append((scale, row_count))
+            return table3_small
+
+        monkeypatch.setattr("repro.experiments.cli.run_table3", run_table3)
         report = main(["table3", "--scale", "small", "--rows", "5000"])
+        assert calls == [("small", 5000)]
         assert "Table 3a" in report
         assert "Table 3b" in report
 

@@ -33,7 +33,6 @@ from repro.experiments.metrics import (
     relative_error,
 )
 from repro.experiments.reporting import format_series, format_table, rows_to_dicts
-from repro.experiments.table3 import run_table3
 
 
 class TestMetrics:
@@ -120,8 +119,8 @@ class TestHarness:
 class TestExperimentRuns:
     """Tiny-scale end-to-end runs of every table/figure experiment."""
 
-    def test_table3(self):
-        result = run_table3(scale="small", row_count=5000, test_queries=20)
+    def test_table3(self, table3_small):
+        result = table3_small
         assert len(result.efficiency_rows) == 4
         assert len(result.accuracy_rows) == 4
         assert set(result.speedups) == {"dmv", "instacart"}

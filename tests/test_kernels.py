@@ -4,11 +4,10 @@ Covers the ISSUE 10 contracts:
 
 * the NumPy kernels match a brute-force per-pair Python loop to ≤1e-12
   (float64) and ≤1e-6 (float32), property-tested over random, empty,
-  and degenerate boxes,
-* ``owners_array`` certifies the identity permutation correctly
-  (regression: an endpoints-only check passed ``[0, 0, 2]``),
-* the :class:`~repro.kernels.arena.KernelArena` reuses buffers and is
-  thread-local,
+  and degenerate boxes, and over owner layouts that are not the identity
+  (regression: an endpoints-only identity check passed ``[0, 0, 2]``),
+* ``intersection_volumes`` keeps its temporaries to a few ``(n, m)``
+  arrays (no ``(n, m, d)`` broadcast),
 * the :class:`~repro.serving.cache.EstimateCache` TTL accounting —
   expired entries are excluded from counts and never evict live entries
   (fake-clock regressions), ``_model_key_of`` no longer buckets foreign
@@ -20,7 +19,7 @@ Covers the ISSUE 10 contracts:
 
 from __future__ import annotations
 
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,15 +37,9 @@ from repro.estimators.buckets import Bucket, BucketSet
 from repro.estimators.stholes import STHoles
 from repro.exceptions import ServingError
 from repro.kernels import (
-    KernelArena,
     decay_weights,
-    decay_weights_into,
-    get_arena,
     intersection_volumes,
-    owners_array,
-    stack_pieces,
     weighted_overlap_estimates,
-    weighted_overlap_estimates_into,
 )
 from repro.serving import (
     EstimateCache,
@@ -95,6 +88,23 @@ def _random_bounds(rng, count, dimension, degenerate_frac=0.0):
     return lower, lower + width
 
 
+# (owners, count) layouts the scatter back to predicates must get right,
+# beside the random sorted owners: the identity, [0, 0, 2] (an
+# endpoints-only identity check once passed it), a non-zero start, more
+# pieces than predicates, empty and singleton batches, and predicates
+# with no pieces at all.
+OWNER_LAYOUTS = [
+    ([0, 1, 2, 3], 4),
+    ([0, 0, 2], 3),
+    ([1, 2, 3], 4),
+    ([0, 0, 1], 2),
+    ([], 0),
+    ([0], 1),
+    ([], 3),
+    ([0, 2], 4),
+]
+
+
 @st.composite
 def bounds_case(draw):
     """Random (rows, cols) bound sets, including empty and degenerate."""
@@ -141,50 +151,42 @@ class TestKernelBackend:
         rng = np.random.default_rng(seed)
         owners = np.sort(rng.integers(0, max(n, 1), size=n)).astype(np.intp)
         weight_over_volume = rng.uniform(0.0, 2.0, size=m)
-        active = weighted_overlap_estimates(
-            row_lower, row_upper, owners, max(n, 1),
-            col_lower, col_upper, weight_over_volume,
-        )
-        reference = _oracle_estimates(
-            row_lower, row_upper, owners, max(n, 1),
-            col_lower, col_upper, weight_over_volume,
-        )
-        np.testing.assert_allclose(active, reference, atol=1e-12, rtol=0)
-        assert (active >= 0.0).all() and (active <= 1.0).all()
+        batches = [(row_lower, row_upper, owners, max(n, 1))]
+        for layout, count in OWNER_LAYOUTS:
+            lower, upper = _random_bounds(rng, len(layout), row_lower.shape[1])
+            batches.append((lower, upper, np.array(layout, dtype=np.intp), count))
+        for lower, upper, owners, count in batches:
+            active = weighted_overlap_estimates(
+                lower, upper, owners, count,
+                col_lower, col_upper, weight_over_volume,
+            )
+            reference = _oracle_estimates(
+                lower, upper, owners, count,
+                col_lower, col_upper, weight_over_volume,
+            )
+            assert active.shape == (count,)
+            np.testing.assert_allclose(active, reference, atol=1e-12, rtol=0)
+            assert (active >= 0.0).all() and (active <= 1.0).all()
 
-    def test_into_variant_matches_allocating_variant(self):
-        rng = np.random.default_rng(11)
-        row_lower, row_upper = _random_bounds(rng, 7, 3)
-        col_lower, col_upper = _random_bounds(rng, 5, 3)
-        weight_over_volume = rng.uniform(0.0, 1.5, size=5)
-        owners = np.array([0, 0, 1, 2, 2, 2, 3], dtype=np.intp)
-        count = 4
-        expected = weighted_overlap_estimates(
-            row_lower, row_upper, owners, count,
-            col_lower, col_upper, weight_over_volume,
-        )
-        arena = KernelArena()
-        out = np.zeros(count)
-        got = weighted_overlap_estimates_into(
-            row_lower, row_upper, owners, col_lower, col_upper,
-            weight_over_volume,
-            arena.request("a", (7, 5, 3)),
-            arena.request("b", (7, 5, 3)),
-            arena.request("o", (7, 5)),
-            arena.request("p", (7,)),
-            out,
-            owners_identity=False,
-        )
-        assert got is out
-        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+    def test_intersection_volumes_temporaries_stay_bounded(self):
+        """One call peaks at a few (n, m) arrays, never an (n, m, d) one."""
+        n, m, d = 64, 1200, 3
+        rng = np.random.default_rng(21)
+        row_lower, row_upper = _random_bounds(rng, n, d)
+        col_lower, col_upper = _random_bounds(rng, m, d)
+        intersection_volumes(row_lower, row_upper, col_lower, col_upper)
+        tracemalloc.start()
+        try:
+            intersection_volumes(row_lower, row_upper, col_lower, col_upper)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * m * 8
 
     def test_decay_weights_matches_closed_form(self):
         ages = np.arange(20.0)
         expected = 0.5 ** (ages / 7.0)
         np.testing.assert_allclose(decay_weights(ages, 7.0), expected, atol=1e-12)
-        out = np.empty(20)
-        decay_weights_into(ages, 7.0, out)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_config_decay_weights_delegates_to_kernel(self):
         config = QuickSelConfig(
@@ -196,102 +198,72 @@ class TestKernelBackend:
         )
 
 
+def _per_piece_and_estimates(owners, count, seed=5, dimension=2):
+    """The kernel's estimates for one owner layout, beside the per-piece
+    values it scatters back to predicates (checked against the oracle)."""
+    rng = np.random.default_rng(seed)
+    owners = np.array(owners, dtype=np.intp)
+    lower, upper = _random_bounds(rng, len(owners), dimension)
+    col_lower, col_upper = _random_bounds(rng, 4, dimension)
+    weight_over_volume = rng.uniform(0.0, 0.2, size=4)
+    active = weighted_overlap_estimates(
+        lower, upper, owners, count, col_lower, col_upper, weight_over_volume
+    )
+    reference = _oracle_estimates(
+        lower, upper, owners, count, col_lower, col_upper, weight_over_volume
+    )
+    assert active.shape == (count,)
+    np.testing.assert_allclose(active, reference, atol=1e-12, rtol=0)
+    per_piece = _oracle_volumes(lower, upper, col_lower, col_upper) @ weight_over_volume
+    return per_piece, active
+
+
 class TestOwnersArray:
+    """Owner layouts the scatter back to predicates must get right."""
+
     def test_identity_is_certified(self):
-        arena = KernelArena()
-        view, identity = owners_array([0, 1, 2, 3], 4, "o", arena)
-        assert identity
-        np.testing.assert_array_equal(view, [0, 1, 2, 3])
+        per_piece, active = _per_piece_and_estimates([0, 1, 2, 3], 4)
+        np.testing.assert_allclose(
+            active, np.clip(per_piece, 0.0, 1.0), atol=1e-12, rtol=0
+        )
 
     def test_regression_0_0_2_is_not_identity(self):
         """Endpoint checks (first==0, last==n-1) pass [0, 0, 2]; the
-        certificate must not."""
-        arena = KernelArena()
-        _, identity = owners_array([0, 0, 2], 3, "o", arena)
-        assert not identity
+        scatter must still sum pieces 0 and 1 into predicate 0."""
+        per_piece, active = _per_piece_and_estimates([0, 0, 2], 3)
+        expected = np.clip([per_piece[0] + per_piece[1], 0.0, per_piece[2]], 0, 1)
+        np.testing.assert_allclose(active, expected, atol=1e-12, rtol=0)
 
     def test_non_zero_start_is_not_identity(self):
-        arena = KernelArena()
-        _, identity = owners_array([1, 2, 3], 3, "o", arena)
-        assert not identity
+        per_piece, active = _per_piece_and_estimates([1, 2, 3], 4)
+        expected = np.clip(np.concatenate([[0.0], per_piece]), 0.0, 1.0)
+        np.testing.assert_allclose(active, expected, atol=1e-12, rtol=0)
 
     def test_length_mismatch_is_not_identity(self):
-        arena = KernelArena()
-        _, identity = owners_array([0, 0, 1], 2, "o", arena)
-        assert not identity
+        per_piece, active = _per_piece_and_estimates([0, 0, 1], 2)
+        expected = np.clip([per_piece[0] + per_piece[1], per_piece[2]], 0, 1)
+        np.testing.assert_allclose(active, expected, atol=1e-12, rtol=0)
 
     def test_empty_and_singleton(self):
-        arena = KernelArena()
-        _, empty_identity = owners_array([], 0, "o", arena)
-        assert empty_identity
-        _, single = owners_array([0], 1, "o", arena)
-        assert single
+        _, empty = _per_piece_and_estimates([], 0)
+        assert empty.shape == (0,)
+        _, no_pieces = _per_piece_and_estimates([], 3)
+        np.testing.assert_array_equal(no_pieces, np.zeros(3))
+        per_piece, single = _per_piece_and_estimates([0], 1)
+        np.testing.assert_allclose(
+            single, np.clip(per_piece, 0.0, 1.0), atol=1e-12, rtol=0
+        )
 
     def test_identity_skip_equals_scatter_add(self):
-        """The owners_identity fast path must produce the same result as
-        the scatter-add path it skips."""
-        rng = np.random.default_rng(5)
-        row_lower, row_upper = _random_bounds(rng, 6, 2)
-        col_lower, col_upper = _random_bounds(rng, 4, 2)
-        weight_over_volume = rng.uniform(0.0, 1.0, size=4)
+        """bincount over identity owners equals the np.add.at scatter-add
+        it replaced, bit for bit."""
         owners = np.arange(6, dtype=np.intp)
-        arena = KernelArena()
-        results = []
-        for identity in (True, False):
-            out = np.zeros(6)
-            weighted_overlap_estimates_into(
-                row_lower, row_upper, owners, col_lower, col_upper,
-                weight_over_volume,
-                arena.request("a", (6, 4, 2)),
-                arena.request("b", (6, 4, 2)),
-                arena.request("o", (6, 4)),
-                arena.request("p", (6,)),
-                out,
-                owners_identity=identity,
-            )
-            results.append(out)
-        np.testing.assert_allclose(results[0], results[1], atol=1e-12, rtol=0)
-
-
-class TestArena:
-    def test_buffers_are_reused(self):
-        arena = KernelArena()
-        first = arena.request("x", (4, 4))
-        second = arena.request("x", (4, 4))
-        assert first.base is second.base
-
-    def test_buffers_grow_geometrically(self):
-        arena = KernelArena()
-        arena.request("x", (4,))
-        small = arena.nbytes()
-        arena.request("x", (5,))
-        assert arena.nbytes() >= 2 * small
-
-    def test_distinct_dtypes_do_not_alias(self):
-        arena = KernelArena()
-        a = arena.request("x", (8,), np.float64)
-        b = arena.request("x", (8,), np.intp)
-        a[:] = 1.0
-        b[:] = 3
-        assert (a == 1.0).all() and (b == 3).all()
-
-    def test_get_arena_is_thread_local(self):
-        main = get_arena()
-        seen = []
-        thread = threading.Thread(target=lambda: seen.append(get_arena()))
-        thread.start()
-        thread.join()
-        assert seen[0] is not main
-        assert get_arena() is main
-
-    def test_stack_pieces_copies_rows(self):
-        arena = KernelArena()
-        rows = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-        view = stack_pieces(rows, "s", arena)
-        np.testing.assert_array_equal(view, [[1.0, 2.0], [3.0, 4.0]])
-        f32 = stack_pieces(rows, "s32", arena, np.float32)
-        assert f32.dtype == np.float32
-        np.testing.assert_allclose(f32, [[1.0, 2.0], [3.0, 4.0]])
+        per_piece, active = _per_piece_and_estimates(owners, 6)
+        scattered = np.zeros(6)
+        np.add.at(scattered, owners, per_piece)
+        np.testing.assert_allclose(
+            active, np.clip(scattered, 0.0, 1.0), atol=1e-12, rtol=0
+        )
 
 
 def _mixture_model(seed=0, components=12, dimension=2):
@@ -307,22 +279,6 @@ def _mixture_model(seed=0, components=12, dimension=2):
 
 
 class TestModelBatchKernels:
-    def test_mixture_estimate_from_bounds_float32_parity(self):
-        model = _mixture_model()
-        rng = np.random.default_rng(3)
-        piece_lower, piece_upper = [], []
-        for _ in range(9):
-            low = rng.uniform(0.0, 0.7, size=2)
-            piece_lower.append(low)
-            piece_upper.append(low + rng.uniform(0.05, 0.3, size=2))
-        owners = list(range(9))
-        full = model.estimate_from_bounds(piece_lower, piece_upper, owners, 9)
-        half = model.estimate_from_bounds(
-            piece_lower, piece_upper, owners, 9, dtype=np.float32
-        )
-        assert half.dtype == np.float32
-        np.testing.assert_allclose(half, full, atol=1e-6, rtol=1e-6)
-
     def test_mixture_batch_matches_scalar(self):
         model = _mixture_model(seed=4)
         rng = np.random.default_rng(9)

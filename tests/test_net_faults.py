@@ -800,6 +800,29 @@ class TestFleetSupervisor:
         assert any(e["event"] == "respawn_failed" for e in events_seen)
         assert supervisor.status()["s1"]["last_error"] is not None
 
+    def test_reap_failure_is_recorded_and_the_worker_still_respawns(self):
+        events_seen = []
+        gateway = StubGateway()
+        supervisor, _ = self._supervisor(gateway, on_event=events_seen.append)
+        process = StubProcess(port=9001)
+
+        def broken_join(timeout=None):
+            raise OSError("reap failed")
+
+        process.join = broken_join
+        supervisor.manage(process, lambda: StubProcess(port=9002), name="s1")
+        process.alive = False
+        events = supervisor.check_once()
+        assert [e["event"] for e in events] == ["died", "reap_failed", "respawned"]
+        reap = events[1]
+        assert reap["worker"] == "s1" and "reap failed" in reap["error"]
+        assert reap in events_seen
+        status = supervisor.status()["s1"]
+        assert "reap failed" in status["last_error"]
+        assert status["alive"] and status["address"] == ("127.0.0.1", 9002)
+        assert status["restarts"] == 1
+        assert gateway.repoints == [("s1", "127.0.0.1", 9002)]
+
     def test_registration_validation(self):
         supervisor, _ = self._supervisor(None)
         process = StubProcess()

@@ -225,12 +225,11 @@ class TestReweightedModel:
         lower = [box.lower for box in boxes]
         upper = [box.upper for box in boxes]
         owners = list(range(len(boxes)))
-        for dtype in (None, np.float32):
-            np.testing.assert_array_equal(
-                reweighted.estimate_from_bounds(lower, upper, owners, len(boxes), dtype),
-                fresh.estimate_from_bounds(lower, upper, owners, len(boxes), dtype),
-            )
-        # The original keeps its own weights (and float32 twins).
+        np.testing.assert_array_equal(
+            reweighted.estimate_from_bounds(lower, upper, owners, len(boxes)),
+            fresh.estimate_from_bounds(lower, upper, owners, len(boxes)),
+        )
+        # The original keeps its own weights.
         np.testing.assert_array_equal(
             model.estimate_many(targets),
             UniformMixtureModel(model.subpopulations, model.weights).estimate_many(
